@@ -1,24 +1,22 @@
-"""Codegen-backend speedup over the reference and threaded backends.
+"""Codegen-backend speedup over the reference interpreter.
 
 The tentpole claim of the codegen backend: emitting each checked CFG
 once as plain Python source — native ``while`` loops, locals, folded
 constants, fused straight-line blocks, counter bumps as direct
 ``slots[i] += 1.0`` adds — makes runs ≥10x faster than the
-tree-walking reference interpreter and ≥2.5x faster than the threaded
-backend in *aggregate* over the Livermore/generator corpus, while
-staying bit-identical.  This benchmark measures both ratios across
-plain, costed and profiled modes and emits a human table plus
-machine-readable ``benchmarks/results/BENCH_codegen.json``.
+tree-walking reference interpreter in *aggregate* over the
+Livermore/generator corpus, while staying bit-identical.  This
+benchmark measures the ratio across plain, costed and profiled modes
+and emits a human table plus machine-readable
+``benchmarks/results/BENCH_codegen.json``.
 
-Gates (applied to the aggregate = total reference time / total
-codegen time across the gated Livermore/generator cells, and likewise
-vs threaded; the `paper`/`simple` cells are reported but ungated —
-they are per-run-latency microbenchmarks, not throughput workloads):
+Gate (applied to the aggregate = total reference time / total codegen
+time across the gated Livermore/generator cells; the `paper`/`simple`
+cells are reported but ungated — they are per-run-latency
+microbenchmarks, not throughput workloads):
 
-* ``REPRO_CODEGEN_GATE``          — vs reference, default 10.0
-  (CI uses 6.0 as a jitter margin);
-* ``REPRO_CODEGEN_THREADED_GATE`` — vs threaded, default 2.5
-  (CI uses 1.8).
+* ``REPRO_CODEGEN_GATE`` — vs reference, default 10.0 (CI uses 6.0 as
+  a jitter margin).
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ TARGET_STEPS_PER_SAMPLE = 40_000
 N_GENERATORS = 20
 GEN_MAX_STEPS = 300_000
 
-BACKENDS = ("reference", "threaded", "codegen")
+BACKENDS = ("reference", "codegen")
 
 #: The ISSUE's speedup claim is over the Livermore/generator corpus;
 #: the tiny dispatch-shaped `paper` fixture (61 steps, irreducible
@@ -135,9 +133,6 @@ def _time_cell(items, backend, *, costed, profiled):
 
 def test_codegen_speedup(paper_program, loops_program, simple_program):
     gate = float(os.environ.get("REPRO_CODEGEN_GATE", "10.0"))
-    threaded_gate = float(
-        os.environ.get("REPRO_CODEGEN_THREADED_GATE", "2.5")
-    )
 
     def suite(program, **kwargs):
         return [(program, smart_program_plan(program), kwargs)]
@@ -177,18 +172,14 @@ def test_codegen_speedup(paper_program, loops_program, simple_program):
                 if name in GATED_WORKLOADS:
                     gated_totals[backend] += times[backend]
             # The speedup only counts if the answers are identical.
-            for backend in ("threaded", "codegen"):
-                assert observed[backend] == observed["reference"], (
-                    name, mode, backend,
-                )
+            assert observed["codegen"] == observed["reference"], (
+                name, mode,
+            )
             speedup = times["reference"] / times["codegen"]
-            vs_threaded = times["threaded"] / times["codegen"]
             record[mode] = {
                 "reference_seconds": times["reference"],
-                "threaded_seconds": times["threaded"],
                 "codegen_seconds": times["codegen"],
                 "speedup_vs_reference": speedup,
-                "speedup_vs_threaded": vs_threaded,
                 "steps": steps,
                 "codegen_steps_per_second": steps / times["codegen"],
             }
@@ -198,28 +189,22 @@ def test_codegen_speedup(paper_program, loops_program, simple_program):
                     mode,
                     steps,
                     f"{times['reference'] * 1e3:.1f}",
-                    f"{times['threaded'] * 1e3:.1f}",
                     f"{times['codegen'] * 1e3:.1f}",
                     f"{speedup:.2f}x",
-                    f"{vs_threaded:.2f}x",
                 ]
             )
         records[name] = record
 
     aggregate = gated_totals["reference"] / gated_totals["codegen"]
-    aggregate_threaded = gated_totals["threaded"] / gated_totals["codegen"]
     all_aggregate = totals["reference"] / totals["codegen"]
-    all_aggregate_threaded = totals["threaded"] / totals["codegen"]
     rows.append(
         [
             "corpus (gated)",
             "all",
             "",
             f"{gated_totals['reference'] * 1e3:.1f}",
-            f"{gated_totals['threaded'] * 1e3:.1f}",
             f"{gated_totals['codegen'] * 1e3:.1f}",
             f"{aggregate:.2f}x",
-            f"{aggregate_threaded:.2f}x",
         ]
     )
     rows.append(
@@ -228,10 +213,8 @@ def test_codegen_speedup(paper_program, loops_program, simple_program):
             "all",
             "",
             f"{totals['reference'] * 1e3:.1f}",
-            f"{totals['threaded'] * 1e3:.1f}",
             f"{totals['codegen'] * 1e3:.1f}",
             f"{all_aggregate:.2f}x",
-            f"{all_aggregate_threaded:.2f}x",
         ]
     )
     table = format_table(
@@ -240,14 +223,11 @@ def test_codegen_speedup(paper_program, loops_program, simple_program):
             "mode",
             "steps",
             "reference ms",
-            "threaded ms",
             "codegen ms",
             "vs reference",
-            "vs threaded",
         ],
         rows,
-        title="codegen backend vs reference and threaded "
-        f"(best of {REPS}, scalar model)",
+        title=f"codegen backend vs reference (best of {REPS}, scalar model)",
     )
     publish("codegen_speedup", table)
 
@@ -258,11 +238,8 @@ def test_codegen_speedup(paper_program, loops_program, simple_program):
         "generators": N_GENERATORS,
         "gated_workloads": sorted(GATED_WORKLOADS),
         "gate_vs_reference": gate,
-        "gate_vs_threaded": threaded_gate,
         "aggregate_speedup_vs_reference": aggregate,
-        "aggregate_speedup_vs_threaded": aggregate_threaded,
         "all_workloads_speedup_vs_reference": all_aggregate,
-        "all_workloads_speedup_vs_threaded": all_aggregate_threaded,
         "workloads": records,
     }
     RESULTS_DIR.mkdir(exist_ok=True)
@@ -272,8 +249,4 @@ def test_codegen_speedup(paper_program, loops_program, simple_program):
     assert aggregate >= gate, (
         f"codegen aggregate speedup {aggregate:.2f}x below the "
         f"{gate:.1f}x gate vs reference"
-    )
-    assert aggregate_threaded >= threaded_gate, (
-        f"codegen aggregate speedup {aggregate_threaded:.2f}x below the "
-        f"{threaded_gate:.1f}x gate vs threaded"
     )

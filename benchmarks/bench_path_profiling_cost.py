@@ -9,7 +9,8 @@ paper's own currency (dynamic counter-update operations, Section 3.3)
 against the full counter-placement ladder (naive, Opt 1, Opt 1+2,
 Opt 1+2+3) on the paper example, the Livermore kernel and a seeded
 generator-corpus composite, and measures the wall-clock overhead of
-path mode vs counter mode on every execution backend.
+path mode vs counter mode on both execution engines (reference and
+codegen).
 
 Emits a human table plus machine-readable
 ``benchmarks/results/BENCH_paths.json``.
@@ -51,7 +52,7 @@ TARGET_STEPS_PER_SAMPLE = 40_000
 N_GENERATORS = 15
 GEN_MAX_STEPS = 300_000
 
-BACKENDS = ("reference", "threaded", "codegen")
+BACKENDS = ("reference", "codegen")
 
 #: The gate covers the throughput workloads; the dispatch-shaped
 #: `paper` fixture is reported but measures per-run latency.

@@ -32,8 +32,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import repro
-from repro.codegen import codegen_backend_for
-from repro.fastexec import LoweringError, backend_for
+from repro.codegen import LoweringError, codegen_backend_for
 from repro.obs import metrics
 from repro.paths import path_program_plan
 from repro.pipeline import (
@@ -45,11 +44,13 @@ from repro.pipeline import (
 from repro.profiling import ProgramPlan
 
 #: Bump when the pickled artifact layout changes incompatibly.
-#: 2: programs carry their threaded-backend shell (``_threaded``).
+#: 2: programs carry a closure-compiled engine's shell.
 #: 3: programs also carry their codegen-backend shell (``_codegen``),
 #:    including the emitted base source and its fingerprint.
 #: 4: entries may carry Ball–Larus path plans (plan kind ``"paths"``).
-CACHE_FORMAT = 4
+#: 5: the closure-compiled engine is retired; programs carry only the
+#:    codegen shell.
+CACHE_FORMAT = 5
 
 _PLAN_BUILDERS = {
     "smart": smart_program_plan,
@@ -73,22 +74,20 @@ class CachedArtifacts:
 
 
 def _compile_entry(source: str) -> CachedArtifacts:
-    """Compile a source and attach both fast-backend shells.
+    """Compile a source and attach the codegen backend's shell.
 
-    The threaded backend pickles as a thin shell sharing the program's
-    checked AST and CFGs via the pickle memo (closures re-lower lazily
-    per process).  The codegen backend additionally ships its emitted
-    base source plus a fingerprint, so a disk hit in another process
-    skips straight to ``compile()`` of the cached text; a program the
-    emitter cannot lower simply caches without a pre-emitted source.
+    The shell pickles sharing the program's checked AST and CFGs via
+    the pickle memo, and ships its emitted base source plus a
+    fingerprint, so a disk hit in another process skips straight to
+    ``compile()`` of the cached text; a program the emitter cannot
+    lower simply caches without a pre-emitted source.
     """
     program = compile_source(source)
-    backend_for(program)
     codegen = codegen_backend_for(program)
     try:
         codegen.ensure_lowered()
     except LoweringError:
-        pass  # auto-selection will step down to threaded/reference
+        pass  # auto-selection will step down to the reference engine
     return CachedArtifacts(program=program)
 
 

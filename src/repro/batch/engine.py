@@ -57,7 +57,7 @@ class BatchOptions:
     max_steps: int = 10_000_000
     #: Run the artifact verifier on every item before profiling.
     verify: bool = False
-    #: Execution engine per ``run_program``: auto/threaded/reference.
+    #: Execution engine per ``run_program``: auto/codegen/reference.
     backend: str = "auto"
     #: ``"counters"`` (Definition-3 counter placement) or ``"paths"``
     #: (Ball–Larus path profiling + reconstruction).

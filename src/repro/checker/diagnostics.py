@@ -11,7 +11,7 @@ suite) can match on codes rather than message text:
 * ``REP2xx`` — counter-plan soundness (flow conservation, derivability,
   Opt-3 preconditions);
 * ``REP3xx`` — minifort source lints (dataflow findings and hints);
-* ``REP4xx`` — counter-slot tables (the threaded backend's lowered
+* ``REP4xx`` — counter-slot tables (the codegen backend's bump layout:
   update sites must map one-to-one onto the plan's measured counters);
 * ``REP5xx`` — Ball–Larus path plans (the numbering must biject onto
   ``[0, NumPaths)``, flushes must cover every back edge, and the
@@ -72,7 +72,7 @@ CODES: dict[str, tuple[Severity, str]] = {
     "REP306": (Severity.INFO, "dead store: assigned value is never read"),
     "REP307": (Severity.INFO, "branch condition is constant on all paths"),
     "REP308": (Severity.WARNING, "loop has no feasible exit"),
-    # REP4xx — counter-slot tables (threaded-backend lowering)
+    # REP4xx — counter-slot tables (codegen bump layout)
     "REP401": (Severity.ERROR, "slot written but backs no measured counter"),
     "REP402": (Severity.ERROR, "measured counter has no update site"),
     "REP403": (Severity.ERROR, "slot written by multiple update sites"),

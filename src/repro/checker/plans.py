@@ -67,10 +67,9 @@ def check_program_plan(program, plan) -> list[Diagnostic]:
         )
     for name in sorted(plan_procs & program_procs):
         findings.extend(_check_procedure_plan(program, name, plan.plans[name]))
-    # REP4xx: the dense slot tables the threaded backend lowers the
+    # REP4xx: the dense slot tables the codegen backend lowers the
     # plan to must stay one-to-one with the measured counter set, and
-    # the codegen backend's emitted bump sites must realize exactly
-    # the planned counters.
+    # its emitted bump sites must realize exactly the planned counters.
     from repro.checker.slots import check_codegen_bumps, check_slot_tables
 
     findings.extend(check_slot_tables(plan))

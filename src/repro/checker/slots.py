@@ -1,10 +1,10 @@
-"""REP4xx: counter-slot-table validation (fast-backend lowerings).
+"""REP4xx: counter-slot-table validation (the codegen bump layout).
 
-The threaded backend lowers every counter plan to dense slot tables
-(:mod:`repro.fastexec.plans`); a table is sound when each measured
+The codegen backend lowers every counter plan to dense slot tables
+(:mod:`repro.codegen.plans`); a table is sound when each measured
 counter is written by exactly one runtime site and every written slot
 backs a measured counter.  This module turns the lowering's
-:class:`~repro.fastexec.plans.SlotFault` records into stable checker
+:class:`~repro.codegen.plans.SlotFault` records into stable checker
 diagnostics so broken tables are caught by the same gate (``repro
 check``, cache ``verify_loads``, batch ``--verify``) as every other
 artifact defect.
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from repro.cfg.graph import StmtKind
 from repro.checker.diagnostics import Diagnostic, diag
-from repro.fastexec.plans import lower_counter_plan, validate_slot_table
+from repro.codegen.plans import lower_counter_plan, validate_slot_table
 
 #: SlotFault.kind -> diagnostic code.
 _FAULT_CODES = {

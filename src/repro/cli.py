@@ -1147,7 +1147,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--max-steps", type=int, default=10_000_000)
     p_run.add_argument(
         "--backend", choices=list(BACKENDS), default="auto",
-        help="execution engine (default: auto — threaded with fallback)",
+        help="execution engine (default: auto — codegen, falling back "
+        "to reference)",
     )
     p_run.add_argument(
         "--optimize", action="store_true",
@@ -1180,7 +1181,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_profile.add_argument(
         "--backend", choices=list(BACKENDS), default="auto",
-        help="execution engine (default: auto — threaded with fallback)",
+        help="execution engine (default: auto — codegen, falling back "
+        "to reference)",
     )
     p_profile.add_argument(
         "--optimize", action="store_true",
@@ -1296,7 +1298,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_batch.add_argument(
         "--backend", choices=list(BACKENDS), default="auto",
-        help="execution engine (default: auto — threaded with fallback)",
+        help="execution engine (default: auto — codegen, falling back "
+        "to reference)",
     )
     p_batch.add_argument(
         "--json", metavar="PATH",

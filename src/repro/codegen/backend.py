@@ -14,8 +14,8 @@ accumulation order for ``total_cost``/``counter_cost``, and identical
 counts/counter values.  Counter bumps write *directly* into the
 :class:`~repro.profiling.runtime.PlanExecutor`'s live arrays (the
 reference updates them per event too), so only ``updates`` needs a
-deferred flush.  Like the threaded backend, a CodegenBackend is not
-reentrant: emitted functions write backend-owned boxes.
+deferred flush.  A CodegenBackend is not reentrant: emitted functions
+write backend-owned boxes.
 """
 
 from __future__ import annotations
@@ -26,10 +26,6 @@ import time
 
 from repro.costs.estimate import CostEstimator
 from repro.errors import InterpreterError
-from repro.fastexec.backend import UnsupportedHooksError
-from repro.fastexec.exprs import LoweringError
-from repro.fastexec.plans import lower_counter_plan, plan_fingerprint
-from repro.fastexec.shape import ProcShape, build_shape
 from repro.interp.intrinsics import IntrinsicRuntime
 from repro.interp.machine import RunResult, _ProgramHalt
 from repro.obs import metrics, span
@@ -38,7 +34,14 @@ from repro.paths.runtime import PathExecutor
 from repro.profiling.runtime import PlanExecutor
 
 from repro.codegen.emit import EmitMeta, emit_module
+from repro.codegen.plans import lower_counter_plan, plan_fingerprint
 from repro.codegen.runtime import make_namespace
+from repro.codegen.shape import (
+    LoweringError,
+    ProcShape,
+    UnsupportedHooksError,
+    build_shape,
+)
 
 
 class _Variant:

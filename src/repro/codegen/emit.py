@@ -8,8 +8,9 @@ constants folded, coercions inlined, and counter bumps emitted as
 ``slots[i] += 1.0`` (Opt-3 batched trip additions stay one add per
 loop entry).  Control flow that resists structuring falls back to a
 dispatch loop over the same per-node code, never to a lowering
-failure; :class:`~repro.fastexec.exprs.LoweringError` is reserved for
-the same call-shape conditions the threaded backend rejects.
+failure; :class:`~repro.codegen.shape.LoweringError` is reserved for
+call-shape and node-shape conditions the emitter cannot express
+(unknown callee, arity mismatch, a node missing a successor).
 
 Emission is per *variant*: the cost constants of one machine model and
 the slot table of one counter plan are folded into the text, so a
@@ -25,9 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.cfg.graph import StmtKind
+from repro.codegen.shape import LoweringError, ProcShape
 from repro.codegen.structure import FlowInfo, Unstructured
-from repro.fastexec.exprs import LoweringError
-from repro.fastexec.shape import ProcShape
 from repro.lang import ast
 from repro.lang.symbols import INTRINSICS
 
@@ -1973,7 +1973,7 @@ def emit_module(
     """Lower every procedure of a checked program to Python source.
 
     ``plan_tables`` maps procedure name to its
-    :class:`~repro.fastexec.plans.ProcSlotTable` (profiled variants),
+    :class:`~repro.codegen.plans.ProcSlotTable` (profiled variants),
     ``path_tables`` maps procedure name to its
     :class:`~repro.paths.numbering.ProcPathPlan` (path-profiled
     variants; mutually exclusive with ``plan_tables``),

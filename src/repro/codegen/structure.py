@@ -5,7 +5,7 @@ The emitter turns a statement-level CFG back into nested Python
 drive it: reverse postorder, immediate dominators (iterative
 Cooper-Harvey-Kennedy), natural loops merged per header, and immediate
 postdominators (the branch-join oracle), all over the dense node
-indices of a :class:`~repro.fastexec.shape.ProcShape`.
+indices of a :class:`~repro.codegen.shape.ProcShape`.
 
 When the CFG does not fit the structured patterns (irreducible flow, a
 loop with several distinct non-terminal exit targets, a join reached

@@ -14,7 +14,7 @@ path and counter instrumentation are comparable in the same currency:
 * recording the register of a frame unwound by STOP costs **0** —
   the program is over, nothing executes.
 
-The fused fast backends (`repro.fastexec`, `repro.codegen`) bypass
+The fused codegen backend (`repro.codegen`) bypasses
 these hooks entirely and write the same state — ``path_counts``,
 ``partials``, ``updates`` — directly, which the conformance suite
 compares bit-for-bit.

@@ -12,7 +12,6 @@ Typical use::
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -25,8 +24,7 @@ from repro.cfg.graph import ControlFlowGraph
 from repro.cfg.reducibility import is_reducible, split_nodes
 from repro.costs.model import MachineModel, SCALAR_MACHINE
 from repro.ecfg import ExtendedCFG, build_ecfg
-from repro.codegen import codegen_backend_for
-from repro.fastexec import LoweringError, backend_for
+from repro.codegen import LoweringError, codegen_backend_for
 from repro.interp import ExecutionHooks, Interpreter, RunResult
 from repro.lang.parser import parse_program
 from repro.lang.symbols import CheckedProgram, check_program
@@ -127,7 +125,7 @@ def verify_compiled(program: CompiledProgram, plan=None) -> None:
 
 
 #: Valid ``backend=`` choices for :func:`run_program`.
-BACKENDS = ("auto", "codegen", "threaded", "reference")
+BACKENDS = ("auto", "codegen", "reference")
 
 
 def _fallback(reason: str) -> None:
@@ -141,28 +139,23 @@ def _fallback(reason: str) -> None:
 def _select_backend(program, hooks, backend: str, *, optimize: bool = False):
     """The engine to run with: ``(name, backend-or-None)``.
 
-    ``auto`` (the default) prefers the codegen backend, then the
-    threaded backend, then the reference interpreter, stepping down
-    whenever the run is not expressible in the faster engine — hooks
-    other than a plain :class:`PlanExecutor` (chained hooks,
-    loop-moment recording) or a program the lowering pass rejects —
-    recording each step down in
-    ``repro_backend_fallbacks_total{reason}``.  Explicit names force
-    one engine; the ``REPRO_BACKEND`` environment variable overrides
-    ``auto`` only.
+    ``auto`` (the default) prefers the codegen backend and steps down
+    to the reference interpreter whenever the run is not expressible
+    in emitted code — hooks other than a plain :class:`PlanExecutor`
+    or :class:`PathExecutor` (chained hooks, loop-moment recording) or
+    a program the emitter rejects — recording each step down in
+    ``repro_backend_fallbacks_total{reason}``.  ``"codegen"`` forces
+    the fast engine (raising :class:`LoweringError` instead of falling
+    back) and ``"reference"`` forces the interpreter.
 
     ``optimize=True`` asks the codegen backend to fold
     dataflow-proven constant branches and drop dead stores before
-    emission.  Results are bit-identical either way, so engines that
-    cannot optimize (threaded, reference) are still valid fallbacks.
+    emission.  Results are bit-identical either way, so the reference
+    interpreter, which ignores the flag, is still a valid fallback.
     """
-    if backend == "auto":
-        env_choice = os.environ.get("REPRO_BACKEND", "")
-        if env_choice in ("codegen", "threaded", "reference"):
-            backend = env_choice
     if backend == "reference":
         return "reference", None
-    if backend not in ("auto", "codegen", "threaded"):
+    if backend not in ("auto", "codegen"):
         raise ValueError(
             f"unknown backend {backend!r}; expected one of {BACKENDS}"
         )
@@ -174,24 +167,15 @@ def _select_backend(program, hooks, backend: str, *, optimize: bool = False):
             )
         _fallback("hooks")
         return "reference", None
-    if backend in ("auto", "codegen"):
-        engine = codegen_backend_for(program, optimize=optimize)
-        try:
-            engine.ensure_lowered()
-            return "codegen", engine
-        except LoweringError:
-            if backend == "codegen":
-                raise
-            _fallback("lowering")
-    threaded = backend_for(program)
+    engine = codegen_backend_for(program, optimize=optimize)
     try:
-        threaded.ensure_lowered()
+        engine.ensure_lowered()
     except LoweringError:
-        if backend == "threaded":
+        if backend == "codegen":
             raise
         _fallback("lowering")
         return "reference", None
-    return "threaded", threaded
+    return "codegen", engine
 
 
 def run_program(
@@ -208,12 +192,11 @@ def run_program(
     """Execute the program once.
 
     ``backend`` selects the execution engine: ``"auto"`` (codegen when
-    possible, then threaded, then reference — see
-    :func:`_select_backend`), ``"codegen"``, ``"threaded"`` or
-    ``"reference"``.  All engines produce bit-identical results.
-    ``optimize=True`` lets the codegen backend fold constant branches
-    and drop dead stores (still bit-identical; a no-op for the other
-    engines).
+    possible, else reference — see :func:`_select_backend`),
+    ``"codegen"`` or ``"reference"``.  Both engines produce
+    bit-identical results.  ``optimize=True`` lets the codegen backend
+    fold constant branches and drop dead stores (still bit-identical;
+    a no-op for the reference interpreter).
     """
     chosen, engine = _select_backend(program, hooks, backend, optimize=optimize)
     metrics.counter(

@@ -145,6 +145,13 @@ class TestKeying:
         entry = pickle.loads(blob)
         assert entry.program.main_name == program.main_name
 
+    def test_fresh_entry_carries_only_the_codegen_shell(self):
+        from repro.batch.cache import _compile_entry
+
+        blob = pickle.dumps(_compile_entry(SOURCE))
+        assert b"repro.fastexec" not in blob
+        assert b"repro.codegen.backend" in blob
+
 
 class TestLruHotTier:
     """The memory tier is LRU: recently *used* entries stay resident."""

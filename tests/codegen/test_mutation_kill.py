@@ -195,7 +195,7 @@ def test_profiled_loop_plan_has_all_site_kinds():
     (otherwise the slot mutations would never fire)."""
     program = _program("profiled-loop")
     plan = smart_program_plan(program)
-    from repro.fastexec.plans import lower_counter_plan
+    from repro.codegen.plans import lower_counter_plan
 
     table = lower_counter_plan(plan.plans["MAIN"])
     assert table.node_slots or table.batch_slots

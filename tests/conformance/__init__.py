@@ -1,1 +1,1 @@
-"""Cross-backend conformance harness (reference / threaded / codegen)."""
+"""Cross-backend conformance harness (reference vs codegen)."""

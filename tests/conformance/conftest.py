@@ -7,7 +7,7 @@ from tests.conformance import harness
 
 @pytest.fixture(params=harness.BACKENDS)
 def backend(request):
-    """Each execution backend in turn (reference, threaded, codegen)."""
+    """Each execution backend in turn (reference, codegen)."""
     return request.param
 
 

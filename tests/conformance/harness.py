@@ -38,8 +38,8 @@ from repro.profiling import PlanExecutor, reconstruct_profile
 from repro.workloads import builtin_sources
 from repro.workloads.generators import ProgramGenerator
 
-#: Every execution backend, reference first (it defines the truth).
-BACKENDS = ("reference", "threaded", "codegen")
+#: Both execution engines, reference first (it defines the truth).
+BACKENDS = ("reference", "codegen")
 
 #: Enough INPUT() values for every builtin that reads them.
 INPUTS = (2.25, 9.0, 16.0)

@@ -1,10 +1,8 @@
-"""Cross-backend conformance: every backend vs the reference oracle.
+"""Cross-backend conformance: codegen vs the reference oracle.
 
-Replaces the old two-way threaded-vs-reference differential suite
-with a single harness that judges *every* execution backend —
-threaded and codegen — against the tree-walking reference
-interpreter, over every builtin workload (with and without an
-``INPUT()`` vector) and 75 seeded generator-corpus programs, plain
+A single harness judges the codegen backend against the tree-walking
+reference interpreter, over every builtin workload (with and without
+an ``INPUT()`` vector) and 75 seeded generator-corpus programs, plain
 and profiled, including step-limit aborts.  Any divergence, down to
 an error message or the repr of a float, is a bug in a lowering.
 """

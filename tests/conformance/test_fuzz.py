@@ -4,9 +4,10 @@ The conformance corpus only covers programs the generator naturally
 produces.  This suite perturbs those programs *structurally* — swap
 the arms of an IF, change a DO trip count, inject an early STOP,
 negate a relational, nudge a constant — and requires every mutant
-that still compiles to be bit-identical across all three backends
-(or for the codegen/threaded lowering to opt out with an explicit
-:class:`LoweringError`; silent divergence is the only failure).
+that still compiles to be bit-identical on the codegen backend and
+the reference interpreter (or for the codegen lowering to opt out with
+an explicit :class:`LoweringError`; silent divergence is the only
+failure).
 
 All randomness is ``random.Random`` seeded from the case id, so every
 failure replays exactly.  A failing mutant is greedily minimized
@@ -24,7 +25,7 @@ import re
 import pytest
 
 from repro.errors import ReproError
-from repro.fastexec import LoweringError
+from repro.codegen import LoweringError
 from repro.pipeline import compile_source
 from repro.workloads.generators import ProgramGenerator
 from tests.conformance.harness import assert_conformance

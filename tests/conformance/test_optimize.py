@@ -6,8 +6,8 @@ the pruned regions have *static frequency zero* — so every observable,
 down to counter slot values and reconstructed FREQ/NODE_FREQ, must be
 bit-identical to the unoptimized engines.  This suite reuses
 :func:`tests.conformance.harness.assert_conformance` with
-``optimize=True`` threaded through ``run_program`` (the reference and
-threaded backends ignore the flag; the codegen backend optimizes), so
+``optimize=True`` passed through ``run_program`` (the reference
+interpreter ignores the flag; the codegen backend optimizes), so
 "conformant" keeps meaning exactly one thing.
 """
 

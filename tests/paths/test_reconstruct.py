@@ -42,9 +42,7 @@ STOP_SOURCE = """\
 """
 
 
-@pytest.mark.parametrize(
-    "backend", ["reference", "threaded", "codegen"]
-)
+@pytest.mark.parametrize("backend", ["reference", "codegen"])
 def test_paper_example_round_trip(backend):
     program = paper_program()
     counters, _ = profile_program(

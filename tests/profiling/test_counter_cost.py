@@ -3,8 +3,8 @@
 §3.3 charges profiling overhead per *counter update*: an Opt-3 batch
 counter adds the whole trip count in **one** update at the DO_INIT, so
 a thousand-iteration loop costs one `counter_update`, not a thousand.
-These tests pin `counter_ops`/`counter_cost` to exact values on every
-backend — reference, threaded and codegen — so a regression in any
+These tests pin `counter_ops`/`counter_cost` to exact values on both
+engines — reference and codegen — so a regression in any
 accounting (charging per iteration, or per batch entry instead of per
 add) cannot land silently.  For the codegen backend the *emitted
 source* is audited too: the number of distinct bump sites folded into
@@ -14,14 +14,14 @@ the text must equal the plan's lowered site count.
 import pytest
 
 from repro import SCALAR_MACHINE, compile_source, smart_program_plan
-from repro.fastexec.plans import lower_counter_plan
+from repro.codegen.plans import lower_counter_plan
 from repro.pipeline import run_program
 from repro.profiling import PlanExecutor
 from repro.workloads.paper_example import PAPER_SOURCE
 
-pytestmark = [pytest.mark.threaded, pytest.mark.codegen]
+pytestmark = pytest.mark.codegen
 
-BACKENDS = ("reference", "threaded", "codegen")
+BACKENDS = ("reference", "codegen")
 
 #: An exit-free DO loop with a runtime-dependent trip count: Opt 3
 #: places a batch counter at the DO_INIT instead of eliding it.
@@ -60,7 +60,7 @@ def test_opt3_trip_add_is_one_update(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_figure3_counter_ops_pinned(backend):
-    """The paper's Figure-3 example: exact update count, every backend.
+    """The paper's Figure-3 example: exact update count, both engines.
 
     With seed 0 the run makes 20 counter updates under the smart plan
     (pinned from the reference interpreter); `counter_cost` is exactly
@@ -102,7 +102,6 @@ def test_counter_ops_identical_across_backends():
             executor.updates,
             executor.counters,
         )
-    assert results["threaded"] == results["reference"]
     assert results["codegen"] == results["reference"]
 
 

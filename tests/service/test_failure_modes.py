@@ -79,6 +79,15 @@ class TestBadRequests:
         )
         assert status == 400
 
+    def test_retired_backend_is_400(self, server):
+        status, payload = raw_post(
+            server.port,
+            "/profile",
+            json.dumps({"source": PAPER_SOURCE, "backend": "threaded"}).encode(),
+        )
+        assert status == 400
+        assert "['auto', 'codegen', 'reference']" in payload["error"]["message"]
+
     def test_unknown_route_is_404(self, server):
         status, _ = raw_post(server.port, "/nope", b"{}")
         assert status == 404
