@@ -46,10 +46,11 @@ GEN_MAX_STEPS = 300_000
 
 BACKENDS = ("reference", "codegen")
 
-#: The ISSUE's speedup claim is over the Livermore/generator corpus;
-#: the tiny dispatch-shaped `paper` fixture (61 steps, irreducible
-#: main) and `simple` ride along for visibility but measure per-run
-#: latency more than execution throughput, so they are not gated.
+#: The speedup claim is over the Livermore/generator corpus; the
+#: tiny `paper` fixture (61 steps per run, structured like every
+#: procedure) and `simple` ride along for visibility but measure
+#: per-run latency more than execution throughput, so they are not
+#: gated.
 GATED_WORKLOADS = frozenset({"livermore", "generators"})
 
 #: (mode name, costed, profiled) — plain interpretation, cost

@@ -54,8 +54,8 @@ GEN_MAX_STEPS = 300_000
 
 BACKENDS = ("reference", "codegen")
 
-#: The gate covers the throughput workloads; the dispatch-shaped
-#: `paper` fixture is reported but measures per-run latency.
+#: The gate covers the throughput workloads; the 61-step `paper`
+#: fixture is reported but measures per-run latency.
 GATED_WORKLOADS = frozenset({"livermore", "generators"})
 
 #: The Section 3 ladder path registers are judged against.

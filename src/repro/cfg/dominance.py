@@ -15,13 +15,19 @@ from repro.cfg.dfs import depth_first_search
 from repro.cfg.graph import ControlFlowGraph
 
 
-def _immediate_dominators(
+def immediate_dominators(
     nodes: list[int],
     rpo_index: dict[int, int],
     preds: Callable[[int], list[int]],
     root: int,
 ) -> dict[int, int]:
-    """Generic CHK iteration; ``nodes`` must be in reverse postorder."""
+    """Generic CHK iteration; ``nodes`` must be in reverse postorder.
+
+    Works on any graph given as a node order and a predecessor
+    function: pass the reversed graph's order and successor function
+    for postdominators.  The root maps to itself; nodes no predecessor
+    chain connects to the root are left out.
+    """
     idom: dict[int, int] = {root: root}
 
     def intersect(a: int, b: int) -> int:
@@ -61,7 +67,7 @@ def dominator_tree(cfg: ControlFlowGraph, dfs=None) -> dict[int, int]:
         dfs = depth_first_search(cfg, cfg.entry)
     order = dfs.reverse_postorder()
     rpo_index = {node: i for i, node in enumerate(order)}
-    return _immediate_dominators(order, rpo_index, cfg.predecessors, cfg.entry)
+    return immediate_dominators(order, rpo_index, cfg.predecessors, cfg.entry)
 
 
 def postdominator_tree(cfg: ControlFlowGraph) -> dict[int, int]:
@@ -100,7 +106,7 @@ def postdominator_tree(cfg: ControlFlowGraph) -> dict[int, int]:
         )
     order = list(reversed(postorder))
     rpo_index = {node: i for i, node in enumerate(order)}
-    return _immediate_dominators(order, rpo_index, cfg.successors, cfg.exit)
+    return immediate_dominators(order, rpo_index, cfg.successors, cfg.exit)
 
 
 def dominance_frontier(

@@ -229,7 +229,16 @@ class CodegenBackend:
                     optimize=self.optimize,
                 )
             fingerprint = _fingerprint(source)
-            code = compile(source, f"<codegen:{fingerprint[:12]}>", "exec")
+            try:
+                code = compile(
+                    source, f"<codegen:{fingerprint[:12]}>", "exec"
+                )
+            except (SyntaxError, RecursionError) as exc:
+                # Python's own nesting limits (20 statically nested
+                # loops, 100 indentation levels) reject valid programs.
+                raise LoweringError(
+                    f"emitted source does not compile: {exc}"
+                ) from None
             ns = make_namespace(self)
             exec(code, ns)
             main = ns[f"P_{self.checked.unit.main.name}"]

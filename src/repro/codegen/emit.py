@@ -6,11 +6,19 @@ order, same error messages, same float accumulation order for costs —
 but with loops as native ``while`` blocks, scalars as Python locals,
 constants folded, coercions inlined, and counter bumps emitted as
 ``slots[i] += 1.0`` (Opt-3 batched trip additions stay one add per
-loop entry).  Control flow that resists structuring falls back to a
-dispatch loop over the same per-node code, never to a lowering
-failure; :class:`~repro.codegen.shape.LoweringError` is reserved for
-call-shape and node-shape conditions the emitter cannot express
-(unknown callee, arity mismatch, a node missing a successor).
+loop entry).
+
+There is one emission strategy, total on the reducible CFGs the front
+end guarantees: branches join at their region postdominators
+(:mod:`repro.codegen.structure`), a loop with several exit targets
+leaves through an exit-code local resolved after the loop, and a node
+reached again away from a join is emitted again, up to
+:data:`_MAX_GROWTH` emitted nodes per reachable node.
+:class:`~repro.codegen.shape.LoweringError` covers what the emitter
+cannot express: call and node shapes (unknown callee, arity mismatch,
+a node missing a successor), a procedure past the duplication bound or
+nested past the recursion limit, and emitted source Python refuses to
+compile.
 
 Emission is per *variant*: the cost constants of one machine model and
 the slot table of one counter plan are folded into the text, so a
@@ -27,7 +35,7 @@ from dataclasses import dataclass, field
 
 from repro.cfg.graph import StmtKind
 from repro.codegen.shape import LoweringError, ProcShape
-from repro.codegen.structure import FlowInfo, Unstructured
+from repro.codegen.structure import FlowInfo
 from repro.lang import ast
 from repro.lang.symbols import INTRINSICS
 
@@ -43,7 +51,13 @@ MUTATIONS = (
     "off-by-one-bounds",
     "drop-zero-div",
     "drop-cost",
+    "swap-exit-code",
 )
+
+#: Tail duplication bound: a procedure's structured body may emit at
+#: most this many nodes per reachable CFG node (the same kind of
+#: growth bound :mod:`repro.cfg.reducibility` puts on node splitting).
+_MAX_GROWTH = 4
 
 _TERMINALS = (StmtKind.EXIT, StmtKind.STOP)
 
@@ -114,21 +128,23 @@ class EV:
 @dataclass
 class _Loop:
     header: int
-    after: int | None
     body: set[int]
+    #: Non-terminal exit targets; an exit's code is its index here.
+    exits: list[int]
 
 
 @dataclass
 class EmitMeta:
     """What the backend and the checker audit need to know per proc."""
 
+    #: proc -> emission strategy; always ``"structured"``, the only one.
     mode: dict[str, str] = field(default_factory=dict)
     #: proc -> [(slot, kind, where)] in textual order, one entry per
     #: emitted ``slots[`` bump site (duplicates possible for inlined
     #: terminals and for the slow-path replays of fused blocks).
     bumps: dict[str, list[tuple]] = field(default_factory=dict)
     #: proc -> original node ids reachable under the reference's
-    #: last-wins dispatch (what structured emission covers).
+    #: last-wins dispatch (what the structured body covers).
     reachable: dict[str, set] = field(default_factory=dict)
     #: proc -> [(node id, label)] branch arms the optimizer pruned.
     #: Their slots stay in the table but are provably never bumped
@@ -140,6 +156,9 @@ class EmitMeta:
     #: reset)``, ``("exit", nid)``, ``("stop", nid)``, ``("partial",
     #: nid)``.  Duplicates possible, like ``bumps``.
     path_sites: dict[str, list[tuple]] = field(default_factory=dict)
+    #: proc -> node emissions in the structured body, tail duplicates
+    #: included (at most ``_MAX_GROWTH`` x its reachable nodes).
+    emitted_nodes: dict[str, int] = field(default_factory=dict)
     lines: int = 0
     mutation_applied: bool = False
 
@@ -1549,7 +1568,7 @@ class ProcEmitter:
             return "R" if "R" in (vt, step_ty) else "I"
         return None
 
-    # -- branch emission shared by both body modes ----------------------
+    # -- branch heads ---------------------------------------------------
 
     def branch_cond(self, sel: str) -> str:
         if self._mut("swap-branch"):
@@ -1576,8 +1595,9 @@ class ProcEmitter:
 
     def emit(self) -> list[str]:
         """The complete function definition, as a list of lines."""
-        self.meta.bumps.setdefault(self.shape.name, [])
-        self.meta.path_sites.setdefault(self.shape.name, [])
+        name = self.shape.name
+        self.meta.bumps.setdefault(name, [])
+        self.meta.path_sites.setdefault(name, [])
         n_nodes = len(self.shape.node_ids)
         flow = FlowInfo(
             {
@@ -1587,73 +1607,20 @@ class ProcEmitter:
             self.shape.entry_idx,
             {i for i, kd in self.kind.items() if kd in _TERMINALS},
         )
-        self.meta.reachable[self.shape.name] = {
+        self.meta.reachable[name] = {
             self.shape.node_ids[i] for i in flow.reachable
         }
-        saved_mut = self.meta.mutation_applied
-        try:
-            body = self._attempt(flow, structured=True)
-            mode = "structured"
-        except (Unstructured, RecursionError):
-            self.meta.mutation_applied = saved_mut
-            self.meta.bumps[self.shape.name] = []
-            self.meta.path_sites[self.shape.name] = []
-            body = self._attempt(flow, structured=False)
-            mode = "dispatch"
-        self.meta.mode[self.shape.name] = mode
-        return self._assemble(body)
-
-    def _attempt(self, flow: FlowInfo, *, structured: bool) -> list[str]:
-        self.buf = []
         self.ind = 2
-        self._tmp = 0
-        self.hits_used = set()
-        self.edges_used = set()
-        self.trips_used = set()
-        self.blocks = []
-        self.uses_ir = False
-        self.uses_rnd = False
-        self.uses_slots = False
-        if structured:
-            walker = _Walker(self, flow)
-            walker.run()
-        else:
-            self._emit_dispatch(flow)
-        return self.buf
-
-    def _emit_dispatch(self, flow: FlowInfo) -> None:
-        """Fallback body: a dispatch loop, every node emitted once."""
-        n_nodes = len(self.shape.node_ids)
-        order = list(flow.rpo) + [
-            i for i in range(n_nodes) if i not in flow.reachable
-        ]
-        self.line(f"_n = {self.shape.entry_idx}")
-        self.line("while True:")
-        self.ind += 1
-        kw = "if"
-        for i in order:
-            self.line(f"{kw} _n == {i}:")
-            kw = "elif"
-            self.ind += 1
-            if self.kind[i] in _TERMINALS:
-                self.emit_terminal(i)
-                self.ind -= 1
-                continue
-            sel = self.emit_action(i)
-            pairs = self.succ_by_label[i]
-            if len(pairs) == 1:
-                label, d = pairs[0]
-                self.bk_edge(i, label)
-                self.line(f"_n = {d}")
-            else:
-                for head, (label, d) in zip(self._arm_heads(i, sel), pairs):
-                    self.line(head)
-                    self.ind += 1
-                    self.bk_edge(i, label)
-                    self.line(f"_n = {d}")
-                    self.ind -= 1
-            self.ind -= 1
-        self.ind -= 1
+        walker = _Walker(self, flow)
+        try:
+            walker.chain(flow.entry, None, ())
+        except RecursionError:
+            raise LoweringError(
+                f"{name}: control flow nests too deeply to emit"
+            ) from None
+        self.meta.mode[name] = "structured"
+        self.meta.emitted_nodes[name] = walker.emitted
+        return self._assemble(self.buf)
 
     def _assemble(self, body: list[str]) -> list[str]:
         shape = self.shape
@@ -1775,55 +1742,69 @@ def _zero(type_):
 
 class _Walker:
     """Structured body emission: loops become ``while True`` blocks,
-    branches become ``if``/``elif`` trees joined at postdominators.
+    branches become ``if``/``elif`` trees joined at their region
+    postdominators (see :mod:`repro.codegen.structure`).
 
-    Every non-terminal node is emitted exactly once; terminals (EXIT,
-    STOP) are inlined wherever control reaches them.  Anything the
-    walker cannot express raises :class:`Unstructured` and the caller
-    re-emits the procedure as a dispatch loop.
+    Terminals (EXIT, STOP) are inlined wherever control reaches them.
+    A loop with one exit target leaves by ``break``; a loop with more
+    sets its exit-code local ``_x<header>`` first, and an ``if`` chain
+    on the code after the loop resolves each target in the enclosing
+    context.  A non-terminal node reached a second time away from a
+    join is emitted again (tail duplication), bounded by
+    :data:`_MAX_GROWTH`.
     """
 
     def __init__(self, pe: ProcEmitter, flow: FlowInfo):
         self.pe = pe
         self.flow = flow
-        self.emitted: set[int] = set()
+        #: Non-terminal node emissions so far, duplicates included.
+        self.emitted = 0
+        self.budget = _MAX_GROWTH * len(flow.reachable)
 
-    def run(self) -> None:
-        self.chain(self.flow.entry, None, ())
-        leftover = (
-            self.flow.reachable - self.emitted - self.flow.terminals
-        )
-        if leftover:
-            raise Unstructured()
+    def _grow(self) -> None:
+        self.emitted += 1
+        if self.emitted > self.budget:
+            raise LoweringError(
+                f"{self.pe.shape.name}: structured emission exceeds "
+                f"{_MAX_GROWTH}x its {len(self.flow.reachable)} "
+                f"reachable nodes"
+            )
 
     # -- resolution ----------------------------------------------------
 
     def resolve(self, d: int, stack: tuple, follow: int | None):
         """How to reach dense node ``d`` from the current position:
-        ('terminal', d) inline it, ('continue',)/('break',) re-enter or
-        leave the innermost loop, ('fall',) it is the local join, None
-        emit it here.  Raises Unstructured for non-local jumps."""
+        ('terminal', d) inline it, ('continue',) re-enter the innermost
+        loop, ('exit', loop, code) leave it, ('fall',) it is the local
+        join, None emit it here."""
         if d in self.flow.terminals:
             return ("terminal", d)
         if stack:
             top = stack[-1]
             if d == top.header:
                 return ("continue",)
-            if top.after is not None and d == top.after:
-                return ("break",)
             if d not in top.body:
-                raise Unstructured()
-        if follow is not None and d == follow:
+                return ("exit", top, top.exits.index(d))
+        if d == follow:
             return ("fall",)
         return None
 
     def transfer(self, r) -> None:
+        pe = self.pe
         if r[0] == "terminal":
-            self.pe.emit_terminal(r[1])
+            pe.emit_terminal(r[1])
         elif r[0] == "continue":
-            self.pe.line("continue")
-        elif r[0] == "break":
-            self.pe.line("break")
+            pe.line("continue")
+        elif r[0] == "exit":
+            loop, code = r[1], r[2]
+            if len(loop.exits) > 1:
+                if pe._mut("swap-exit-code"):
+                    code = (code + 1) % len(loop.exits)
+                pe.line(f"_x{loop.header} = {code}")
+            pe.line("break")
+
+    def region(self, stack: tuple) -> int | None:
+        return stack[-1].header if stack else None
 
     # -- walking -------------------------------------------------------
 
@@ -1846,36 +1827,51 @@ class _Walker:
                 if n in self.flow.loops:
                     n = self.loop(n, stack)
                     continue
-            if n in self.emitted:
-                raise Unstructured()
+            self._grow()
             if self.pe.fuse and self.pe.fusable_mid(n):
                 n = self.block(n, stack, follow)
             else:
-                self.emitted.add(n)
-                n = self.step(n, stack, follow)
+                n = self.step(n, stack)
 
     def loop(self, h: int, stack: tuple) -> int | None:
-        body = self.flow.loops[h]
-        after = self._loop_after(h, body)
-        self.pe.line("while True:")
-        self.pe.ind += 1
-        self.chain(h, None, stack + (_Loop(h, after, body),), skip_loop=True)
-        self.pe.ind -= 1
-        return after
+        """Emit the loop headed by ``h``; returns where control goes
+        after it (None: nowhere, every exit was a transfer)."""
+        pe = self.pe
+        loop = _Loop(h, self.flow.loops[h], self.flow.loop_exits[h])
+        pe.line("while True:")
+        pe.ind += 1
+        self.chain(h, None, stack + (loop,), skip_loop=True)
+        pe.ind -= 1
+        if len(loop.exits) < 2:
+            return loop.exits[0] if loop.exits else None
+        join = self.flow.join(
+            self.region(stack),
+            [t for t in loop.exits if self.resolve(t, stack, None) is None],
+        )
+        last = len(loop.exits) - 1
+        for code, t in enumerate(loop.exits):
+            if code == 0:
+                pe.line(f"if _x{h} == 0:")
+            elif code < last:
+                pe.line(f"elif _x{h} == {code}:")
+            else:
+                pe.line("else:")
+            pe.ind += 1
+            mark = len(pe.buf)
+            self.arm(t, stack, join)
+            if len(pe.buf) == mark:
+                pe.line("pass")
+            pe.ind -= 1
+        return join
 
-    def _loop_after(self, h: int, body: set[int]) -> int | None:
-        outs = set()
-        for n in body:
-            for _label, d in self.pe.succ_by_label[n]:
-                if d not in body and d not in self.flow.terminals:
-                    outs.add(d)
-        if len(outs) > 1:
-            raise Unstructured()
-        return next(iter(outs)) if outs else None
+    def arm(self, d: int, stack: tuple, join: int | None) -> None:
+        r = self.resolve(d, stack, join)
+        if r is None:
+            self.chain(d, join, stack)
+        elif r[0] != "fall":
+            self.transfer(r)
 
-    def step(
-        self, n: int, stack: tuple, follow: int | None
-    ) -> int | None:
+    def step(self, n: int, stack: tuple) -> int | None:
         pe = self.pe
         sel = pe.emit_action(n)
         pairs = pe.succ_by_label[n]
@@ -1888,23 +1884,15 @@ class _Walker:
     def arms(self, n: int, sel: str | None, stack: tuple) -> int | None:
         """Emit a branching node's if/elif/else arms; returns the join."""
         pe = self.pe
+        join = self.flow.postdominators(self.region(stack)).get(n)
+        if join in self.flow.terminals:
+            join = None
         pairs = pe.succ_by_label[n]
-        join = self.flow.ipdom.get(n)
-        if join is not None and join in self.flow.terminals:
-            join = None
-        if stack and join is not None and join not in stack[-1].body:
-            # The merge point lies outside the loop: every arm must
-            # leave via break/continue/terminal instead.
-            join = None
         for head, (label, d) in zip(pe._arm_heads(n, sel), pairs):
             pe.line(head)
             pe.ind += 1
             pe.bk_edge(n, label)
-            r = self.resolve(d, stack, join)
-            if r is None:
-                self.chain(d, join, stack)
-            elif r[0] != "fall":
-                self.transfer(r)
+            self.arm(d, stack, join)
             pe.ind -= 1
         return join
 
@@ -1916,26 +1904,24 @@ class _Walker:
         fused block."""
         pe = self.pe
         nodes = [n]
-        self.emitted.add(n)
         trailing = False
         cur = n
         while True:
             _label, d = pe.succ_by_label[cur][0]
             if (
-                d in self.emitted
-                or d in self.flow.loops
+                d in self.flow.loops
                 or self.resolve(d, stack, follow) is not None
             ):
                 break
             if pe.fusable_branch(d):
+                self._grow()
                 nodes.append(d)
-                self.emitted.add(d)
                 trailing = True
                 break
             if not pe.fusable_mid(d):
                 break
+            self._grow()
             nodes.append(d)
-            self.emitted.add(d)
             cur = d
         mids = nodes[:-1] if trailing else nodes
         pe.begin_block(nodes, trailing)

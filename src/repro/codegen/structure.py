@@ -2,24 +2,64 @@
 
 The emitter turns a statement-level CFG back into nested Python
 ``while``/``if`` blocks.  This module provides the graph facts that
-drive it: reverse postorder, immediate dominators (iterative
-Cooper-Harvey-Kennedy), natural loops merged per header, and immediate
-postdominators (the branch-join oracle), all over the dense node
-indices of a :class:`~repro.codegen.shape.ProcShape`.
+drive it, over the dense node indices of a
+:class:`~repro.codegen.shape.ProcShape`: reverse postorder, immediate
+dominators, natural loops merged per header with their exit targets,
+and *region* postdominators, the branch-join oracle.
 
-When the CFG does not fit the structured patterns (irreducible flow, a
-loop with several distinct non-terminal exit targets, a join reached
-twice), the emitter raises :class:`Unstructured` and falls back to a
-dispatch-loop rendering of the same procedure — never to a lowering
-failure, so control-flow shape alone can't force the reference
-interpreter.
+Node splitting (:mod:`repro.cfg.reducibility`) makes every CFG
+reducible before it gets here, so every cycle enters through a
+natural-loop header.  The emitter works inside one region at a time:
+the whole procedure, or one loop body.  A branch joins at its
+immediate postdominator *within its region*, computed on a graph in
+which
+
+* every edge that leaves the region (a loop exit, an edge to EXIT or
+  STOP) is deleted, and
+* latches, and nodes left with no in-region successor, feed the
+  virtual exit.
+
+At procedure level this is the ordinary postdominator tree.  Both the
+dominators and every region's postdominators come from the one
+Cooper–Harvey–Kennedy engine in :mod:`repro.cfg.dominance`.  The
+emitter keeps its own dense, optimize-pruned successor lists rather
+than the front end's interval structure, because a folded branch
+changes dominance.
 """
 
 from __future__ import annotations
 
+from repro.cfg.dominance import dominates, immediate_dominators
 
-class Unstructured(Exception):
-    """The CFG resists structured emission; use the dispatch loop."""
+#: The virtual exit every region's postdominator tree is rooted at.
+_EXIT = -1
+
+
+def _reverse_postorder(root: int, succ) -> list[int]:
+    """Iterative DFS from ``root`` over ``succ(node)``."""
+    order: list[int] = []
+    seen = {root}
+    stack: list[tuple[int, int]] = [(root, 0)]
+    while stack:
+        node, i = stack[-1]
+        succs = succ(node)
+        if i < len(succs):
+            stack[-1] = (node, i + 1)
+            d = succs[i]
+            if d not in seen:
+                seen.add(d)
+                stack.append((d, 0))
+        else:
+            order.append(node)
+            stack.pop()
+    order.reverse()
+    return order
+
+
+def _tree(order: list[int], preds, root: int) -> dict[int, int]:
+    return immediate_dominators(
+        order, {n: i for i, n in enumerate(order)}, preds, root
+    )
 
 
 class FlowInfo:
@@ -29,68 +69,38 @@ class FlowInfo:
         self.succ = succ
         self.entry = entry
         self.terminals = terminals
-        self.reachable = self._reach()
-        self.rpo = self._rpo()
+        self.rpo = _reverse_postorder(entry, lambda n: succ.get(n, ()))
+        self.reachable = set(self.rpo)
         self.rpo_pos = {n: i for i, n in enumerate(self.rpo)}
-        self.pred: dict[int, list[int]] = {n: [] for n in self.reachable}
-        for n in self.reachable:
+        self.pred: dict[int, list[int]] = {n: [] for n in self.rpo}
+        for n in self.rpo:
             for d in succ.get(n, ()):
-                if d in self.reachable:
-                    self.pred[d].append(n)
-        self.idom = _idoms(self.rpo, self.rpo_pos, self.pred, entry)
+                self.pred[d].append(n)
+        self.idom = _tree(self.rpo, self.pred.__getitem__, entry)
         self.loops = self._natural_loops()
-        self.ipdom = self._ipostdoms()
-
-    # -- basic orders --------------------------------------------------
-
-    def _reach(self) -> set[int]:
-        seen = {self.entry}
-        stack = [self.entry]
-        while stack:
-            n = stack.pop()
-            for d in self.succ.get(n, ()):
-                if d not in seen:
-                    seen.add(d)
-                    stack.append(d)
-        return seen
-
-    def _rpo(self) -> list[int]:
-        order: list[int] = []
-        seen = set()
-        # Iterative postorder DFS.
-        stack: list[tuple[int, int]] = [(self.entry, 0)]
-        seen.add(self.entry)
-        while stack:
-            node, i = stack[-1]
-            succs = self.succ.get(node, ())
-            if i < len(succs):
-                stack[-1] = (node, i + 1)
-                d = succs[i]
-                if d not in seen:
-                    seen.add(d)
-                    stack.append((d, 0))
-            else:
-                order.append(node)
-                stack.pop()
-        order.reverse()
-        return order
-
-    # -- dominance -----------------------------------------------------
-
-    def dominates(self, a: int, b: int) -> bool:
-        while b is not None:
-            if a == b:
-                return True
-            b = self.idom.get(b)
-        return False
+        #: Loop header -> its non-terminal exit targets in reverse
+        #: postorder (the exit-code order).
+        self.loop_exits = {
+            h: sorted(
+                {
+                    d
+                    for n in body
+                    for d in succ.get(n, ())
+                    if d not in body and d not in terminals
+                },
+                key=self.rpo_pos.__getitem__,
+            )
+            for h, body in self.loops.items()
+        }
+        self._pdoms: dict[int | None, dict[int, int | None]] = {}
 
     def _natural_loops(self) -> dict[int, set[int]]:
         """Loop header -> body node set (header included), merged over
         every back edge targeting the header."""
         loops: dict[int, set[int]] = {}
-        for n in self.reachable:
+        for n in self.rpo:
             for d in self.succ.get(n, ()):
-                if d in self.reachable and self.dominates(d, n):
+                if dominates(self.idom, d, n, self.entry):
                     body = loops.setdefault(d, {d})
                     # Walk predecessors from the latch, stopping at the
                     # header.
@@ -100,89 +110,54 @@ class FlowInfo:
                         if m in body:
                             continue
                         body.add(m)
-                        stack.extend(self.pred.get(m, ()))
+                        stack.extend(self.pred[m])
         return loops
 
-    # -- postdominance -------------------------------------------------
+    def postdominators(self, header: int | None) -> dict[int, int | None]:
+        """Immediate postdominators within one region: the loop body of
+        ``header``, or the whole procedure for ``None``.
 
-    def _ipostdoms(self) -> dict[int, int | None]:
-        """Immediate postdominator per node, or None when a node cannot
-        reach the virtual exit (then joins involving it are invalid)."""
-        virtual = -1
-        rsucc: dict[int, list[int]] = {n: [] for n in self.reachable}
-        rsucc[virtual] = []
-        for n in self.reachable:
-            if n in self.terminals or not self.succ.get(n):
-                rsucc[virtual].append(n)
-            for d in self.succ.get(n, ()):
-                if d in self.reachable:
-                    rsucc.setdefault(d, []).append(n)
-        # Postorder over the reversed graph from the virtual root.
-        order: list[int] = []
-        seen = {virtual}
-        stack: list[tuple[int, int]] = [(virtual, 0)]
-        while stack:
-            node, i = stack[-1]
-            succs = rsucc.get(node, ())
-            if i < len(succs):
-                stack[-1] = (node, i + 1)
-                d = succs[i]
-                if d not in seen:
-                    seen.add(d)
-                    stack.append((d, 0))
-            else:
-                order.append(node)
-                stack.pop()
-        order.reverse()  # now RPO of the reversed graph
-        pos = {n: i for i, n in enumerate(order)}
-        # Predecessors in the reversed graph == successors in the CFG,
-        # plus terminal -> virtual.
-        rpred: dict[int, list[int]] = {n: [] for n in order}
-        for n, ds in rsucc.items():
-            for d in ds:
-                if d in pos:
-                    rpred[d].append(n)
-        ipdom = _idoms(order, pos, rpred, virtual)
-        return {
-            n: (None if ipdom.get(n) in (None, virtual) else ipdom.get(n))
-            for n in self.reachable
-            if n != virtual
-        }
+        Maps every node that reaches the region's virtual exit to its
+        immediate postdominator, ``None`` standing for the virtual exit
+        itself; nodes that cannot reach it are absent.
+        """
+        cached = self._pdoms.get(header)
+        if cached is not None:
+            return cached
+        nodes = self.reachable if header is None else self.loops[header]
+        forward: dict[int, list[int]] = {_EXIT: []}
+        reverse: dict[int, list[int]] = {_EXIT: []}
+        for n in nodes:
+            succs = self.succ.get(n, ())
+            kept = [d for d in succs if d in nodes and d != header]
+            if not kept or header in succs:
+                kept.append(_EXIT)
+            forward[n] = kept
+            for d in kept:
+                reverse.setdefault(d, []).append(n)
+        order = _reverse_postorder(_EXIT, lambda n: reverse.get(n, ()))
+        ipdom = _tree(order, forward.__getitem__, _EXIT)
+        del ipdom[_EXIT]
+        result = {n: (None if p == _EXIT else p) for n, p in ipdom.items()}
+        self._pdoms[header] = result
+        return result
 
-
-def _idoms(
-    rpo: list[int],
-    rpo_pos: dict[int, int],
-    pred: dict[int, list[int]],
-    entry: int,
-) -> dict[int, int | None]:
-    """Iterative immediate-dominator computation (CHK algorithm)."""
-    idom: dict[int, int | None] = {entry: entry}
-    changed = True
-    while changed:
-        changed = False
-        for n in rpo:
-            if n == entry:
+    def join(self, header: int | None, nodes) -> int | None:
+        """The nearest common postdominator of ``nodes`` within the
+        region of ``header`` (``None``: the virtual exit).  Nodes that
+        cannot reach the region's exit impose no constraint."""
+        ipdom = self.postdominators(header)
+        common: list[int] | None = None
+        for n in nodes:
+            if n not in ipdom:
                 continue
-            new = None
-            for p in pred.get(n, ()):
-                if p not in idom:
-                    continue
-                if new is None:
-                    new = p
-                else:
-                    new = _intersect(new, p, idom, rpo_pos)
-            if new is not None and idom.get(n) != new:
-                idom[n] = new
-                changed = True
-    idom[entry] = None
-    return idom
-
-
-def _intersect(a: int, b: int, idom: dict, rpo_pos: dict) -> int:
-    while a != b:
-        while rpo_pos[a] > rpo_pos[b]:
-            a = idom[a]
-        while rpo_pos[b] > rpo_pos[a]:
-            b = idom[b]
-    return a
+            chain = []
+            while n is not None:
+                chain.append(n)
+                n = ipdom[n]
+            if common is None:
+                common = chain
+            else:
+                on_chain = set(chain)
+                common = [m for m in common if m in on_chain]
+        return common[0] if common else None

@@ -136,7 +136,9 @@ def _fallback(reason: str) -> None:
     ).inc(reason=reason)
 
 
-def _select_backend(program, hooks, backend: str, *, optimize: bool = False):
+def _select_backend(
+    program, hooks, backend: str, *, optimize: bool = False, model=None
+):
     """The engine to run with: ``(name, backend-or-None)``.
 
     ``auto`` (the default) prefers the codegen backend and steps down
@@ -144,7 +146,9 @@ def _select_backend(program, hooks, backend: str, *, optimize: bool = False):
     in emitted code — hooks other than a plain :class:`PlanExecutor`
     or :class:`PathExecutor` (chained hooks, loop-moment recording) or
     a program the emitter rejects — recording each step down in
-    ``repro_backend_fallbacks_total{reason}``.  ``"codegen"`` forces
+    ``repro_backend_fallbacks_total{reason}``.  The variant the run
+    will execute (its hooks' plan, ``model``) is lowered here, so a
+    rejection surfaces before the run.  ``"codegen"`` forces
     the fast engine (raising :class:`LoweringError` instead of falling
     back) and ``"reference"`` forces the interpreter.
 
@@ -169,7 +173,8 @@ def _select_backend(program, hooks, backend: str, *, optimize: bool = False):
         return "reference", None
     engine = codegen_backend_for(program, optimize=optimize)
     try:
-        engine.ensure_lowered()
+        # Emits and compiles the run's variant (cached for the run).
+        engine.emitted_source(getattr(hooks, "plan", None), model)
     except LoweringError:
         if backend == "codegen":
             raise
@@ -198,7 +203,9 @@ def run_program(
     fold constant branches and drop dead stores (still bit-identical;
     a no-op for the reference interpreter).
     """
-    chosen, engine = _select_backend(program, hooks, backend, optimize=optimize)
+    chosen, engine = _select_backend(
+        program, hooks, backend, optimize=optimize, model=model
+    )
     metrics.counter(
         "repro_runs_total",
         "Program executions by backend.",

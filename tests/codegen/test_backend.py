@@ -12,8 +12,9 @@ import pickle
 
 import pytest
 
-from repro import compile_source, smart_program_plan
+from repro import compile_source, profile_program, smart_program_plan
 from repro.codegen import LoweringError, codegen_backend_for
+from repro.obs import metrics
 from repro.codegen.plans import (
     lower_counter_plan,
     plan_fingerprint,
@@ -92,6 +93,70 @@ class TestSelection:
         monkeypatch.setenv("REPRO_BACKEND", "reference")
         name, _engine = _select_backend(program, None, "auto")
         assert name == "codegen"
+
+
+def _nested_do(depth: int, call: bool = False) -> str:
+    lines = ["      PROGRAM DEEP", "      INTEGER K", "      K = 0"]
+    lines += [f"      DO {100 + d} I{d} = 1, 1" for d in range(depth)]
+    lines.append("      CALL BUMP(K)" if call else "      K = K + 1")
+    lines += [f"{100 + d:<6}CONTINUE" for d in reversed(range(depth))]
+    lines += ["      PRINT *, K", "      END"]
+    if call:
+        lines += [
+            "      SUBROUTINE BUMP(K)",
+            "      INTEGER K",
+            "      K = K + 1",
+            "      END",
+        ]
+    return "\n".join(lines) + "\n"
+
+
+def _nested_if(depth: int) -> str:
+    lines = ["      PROGRAM DEEPIF", "      INTEGER K", "      K = 0"]
+    lines += ["      IF (K .EQ. 0) THEN"] * depth
+    lines.append("      K = K + 1")
+    lines += ["      ENDIF"] * depth
+    lines += ["      PRINT *, K", "      END"]
+    return "\n".join(lines) + "\n"
+
+
+def _lowering_fallbacks() -> float:
+    counter = metrics.registry().get("repro_backend_fallbacks_total")
+    return counter.value(reason="lowering") if counter is not None else 0.0
+
+
+class TestPythonNestingLimits:
+    """Valid programs whose emitted source breaks one of Python's own
+    nesting limits fall back to the reference interpreter instead of
+    crashing with a SyntaxError."""
+
+    @pytest.mark.parametrize(
+        "source",
+        [_nested_do(20), _nested_if(100)],
+        ids=["20-nested-do", "100-nested-if"],
+    )
+    def test_auto_falls_back(self, source):
+        program = compile_source(source)
+        before = _lowering_fallbacks()
+        assert run_program(program).outputs == ["1"]
+        assert _lowering_fallbacks() == before + 1
+        with pytest.raises(LoweringError):
+            run_program(program, backend="codegen")
+
+    def test_paths_variant_rejected_before_the_run(self):
+        """The base and counter variants compile; only the paths
+        variant, emitted for the run itself, hits the limit."""
+        program = compile_source(_nested_do(18, call=True))
+        profile_program(program, 1, backend="codegen")
+        before = _lowering_fallbacks()
+        profile, _stats = profile_program(program, 1, mode="paths")
+        assert _lowering_fallbacks() == before + 1
+        reference, _ = profile_program(
+            program, 1, mode="paths", backend="reference"
+        )
+        assert profile.to_dict() == reference.to_dict()
+        with pytest.raises(LoweringError):
+            profile_program(program, 1, mode="paths", backend="codegen")
 
 
 class TestBackendCache:

@@ -1,8 +1,9 @@
 """Unit tests for the codegen emitter and backend shell.
 
 The conformance suite proves behavioural identity; these tests pin
-the *mechanism* — structured emission with basic-block fusion, the
-dispatch-loop fallback for irreducible-shaped procedures, variant
+the *mechanism* — structured emission with basic-block fusion for
+every procedure of the builtins and a 500-program generator sweep
+(no dispatch loop, tail duplication under its growth bound), variant
 caching, the pickled cache shell, and the hooks contract.
 """
 
@@ -16,9 +17,11 @@ from repro.codegen import (
     UnsupportedHooksError,
     codegen_backend_for,
 )
+from repro.codegen.emit import _MAX_GROWTH, emit_module
+from repro.codegen.shape import build_shape
 from repro.profiling import PlanExecutor
 from repro.workloads import builtin_sources
-from repro.workloads.paper_example import PAPER_SOURCE
+from repro.workloads.generators import ProgramGenerator
 
 pytestmark = pytest.mark.codegen
 
@@ -81,15 +84,23 @@ class TestEmission:
         assert first == again
         assert backend.emitted_source() != first  # base variant differs
 
-    def test_dispatch_fallback_still_runs(self):
-        """A procedure the structurer rejects drops to the dispatch
-        loop but still executes correctly (paper example has one)."""
-        program = compile_source(PAPER_SOURCE)
-        backend = codegen_backend_for(program)
-        backend.ensure_lowered()
-        result = backend.run(seed=0)
-        assert result.halted in ("end", "stop")
-        assert result.steps == 61
+    def test_every_procedure_emits_structured(self):
+        """Builtins plus generator seeds 0-499: no procedure needs a
+        dispatch loop, and tail duplication stays under its bound
+        (the worst procedure, livermore's KERN16, grows 1.06x)."""
+        sources = [source for _name, source in builtin_sources()]
+        sources += [ProgramGenerator(seed).source() for seed in range(500)]
+        for source in sources:
+            program = compile_source(source)
+            shapes = {
+                name: build_shape(program.checked, name, cfg, index)
+                for index, (name, cfg) in enumerate(program.cfgs.items())
+            }
+            text, meta = emit_module(program.checked, program.cfgs, shapes)
+            assert set(meta.mode.values()) == {"structured"}
+            assert "_n = " not in text  # no dispatch program counter
+            for name, count in meta.emitted_nodes.items():
+                assert count <= _MAX_GROWTH * len(meta.reachable[name])
 
 
 class TestBackendShell:

@@ -5,7 +5,8 @@ catch.  The emitter exposes ~10 seeded miscompile modes
 (:data:`repro.codegen.MUTATIONS` — a wrong slot index, a dropped or
 duplicated counter bump, a skipped coercion, a loop that runs one
 trip too many, a negated branch, an off-by-one bounds check, a
-missing zero-divide guard, a dropped cost add).  Each one is emitted
+missing zero-divide guard, a dropped cost add, a loop exit that sets
+the wrong exit code).  Each one is emitted
 here through a real :class:`CodegenBackend` and must be *killed* —
 either behaviourally, by the same observation the conformance suite
 compares (outputs, errors, counts, float-pinned costs, live counter
@@ -25,6 +26,8 @@ from repro.checker import audit_bump_sites
 from repro.codegen import MUTATIONS, CodegenBackend
 from repro.errors import ReproError
 from repro.profiling import PlanExecutor
+from repro.workloads.unstructured import TWO_EXIT_LOOP
+from tests.conformance.harness import assert_conformance
 
 pytestmark = [pytest.mark.codegen, pytest.mark.conformance]
 
@@ -77,6 +80,9 @@ KILL_SOURCES = {
       ENDIF
       END
 """,
+    # Two exit targets: the first exit site emitted (ACC > 12.5 ->
+    # label 20) is the one seed 3 takes.
+    "two-exit-loop": TWO_EXIT_LOOP,
 }
 
 #: mutation -> which workload makes its first mutated site observable.
@@ -91,6 +97,7 @@ WORKLOAD_FOR = {
     "off-by-one-bounds": "bounds",
     "drop-zero-div": "zero-div",
     "drop-cost": "profiled-loop",
+    "swap-exit-code": "two-exit-loop",
 }
 
 #: Mutations the static REP405 audit must catch on its own.  The rest
@@ -200,3 +207,12 @@ def test_profiled_loop_plan_has_all_site_kinds():
     table = lower_counter_plan(plan.plans["MAIN"])
     assert table.node_slots or table.batch_slots
     assert table.edge_slots
+
+
+def test_conformance_kills_exit_code_swap():
+    """The conformance harness itself, not just this suite's observer,
+    catches a multi-exit loop leaving toward the wrong target."""
+    program = compile_source(TWO_EXIT_LOOP)
+    program._codegen = _emit(program, "swap-exit-code")
+    with pytest.raises(AssertionError, match="codegen backend diverges"):
+        assert_conformance(program, seed=3)

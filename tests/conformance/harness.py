@@ -44,13 +44,115 @@ BACKENDS = ("reference", "codegen")
 #: Enough INPUT() values for every builtin that reads them.
 INPUTS = (2.25, 9.0, 16.0)
 
+
+#: Hand-written programs aimed at the emitter's structuring rules, run
+#: next to the builtins by every conformance test parametrized over
+#: :data:`CORPUS`.
+HANDWRITTEN = {
+    # A loop with three exit targets (exit codes); the exits to 20 and
+    # 30 share the tail at 50 (duplicated), inside an outer DO loop so
+    # one run takes several of them.
+    "three_exit_targets": """\
+      PROGRAM THREEX
+      INTEGER J, K, R
+      REAL ACC
+      ACC = 0.0
+      DO 60 J = 1, 8
+        K = 0
+10      K = K + 1
+        R = IRAND(1, 12)
+        IF (R .EQ. 7) GOTO 20
+        IF (R .EQ. 11) GOTO 30
+        ACC = ACC + REAL(R)
+        IF (K .GE. 6) GOTO 40
+        GOTO 10
+20      ACC = ACC + 100.0
+        GOTO 50
+30      ACC = ACC - 100.0
+50      K = K * 2
+40      PRINT *, J, K, ACC
+60    CONTINUE
+      END
+""",
+    # An inner DO loop whose GOTO re-enters the outer loop's header:
+    # the exit code resolves to a ``continue`` of the outer loop.
+    "goto_outer_header": """\
+      PROGRAM OUTERH
+      INTEGER I, J, N
+      N = 0
+      I = 0
+10    I = I + 1
+      IF (I .GT. 6) GOTO 90
+      DO 20 J = 1, 5
+        N = N + 1
+        IF (MOD(I * J, 4) .EQ. 0) GOTO 10
+20    CONTINUE
+      N = N + 100
+      GOTO 10
+90    PRINT *, I, N
+      END
+""",
+    # A STOP inside a multi-exit loop, two frames deep.  The caller's
+    # loop is GOTO-built: an interrupted Opt-3 DO loop is the pinned
+    # counters-vs-paths exception (tests/paths/test_reconstruct.py).
+    "stop_in_multi_exit_loop": """\
+      PROGRAM STOPML
+      INTEGER I
+      REAL ACC
+      ACC = 0.0
+      I = 0
+10    I = I + 1
+      CALL WORK(I, ACC)
+      IF (I .LT. 20) GOTO 10
+      PRINT *, ACC
+      END
+
+      SUBROUTINE WORK(I, ACC)
+      INTEGER I, K, R
+      REAL ACC
+      K = 0
+20    K = K + 1
+      R = IRAND(1, 10)
+      IF (R .EQ. 3) GOTO 30
+      IF (ACC .GT. 400.0) STOP
+      IF (K .GE. I) GOTO 40
+      ACC = ACC + REAL(R)
+      GOTO 20
+30    ACC = ACC + 1.0
+40    ACC = ACC + REAL(K)
+      END
+""",
+    # A computed GOTO whose fall-through arm shares label 20 with a
+    # numbered arm (livermore KERN16's shape): a duplicated tail.
+    "cgoto_shared_default": """\
+      PROGRAM CGSHARE
+      INTEGER S, N, HITS
+      HITS = 0
+      DO 50 N = 1, 40
+        S = IRAND(0, 4)
+        GOTO (10, 20, 30), S
+        GOTO 20
+10      HITS = HITS + 1
+        GOTO 50
+20      HITS = HITS + 10
+30      HITS = HITS + 100
+50    CONTINUE
+      PRINT *, HITS
+      END
+""",
+}
+
+#: Every named conformance input: the builtins, then HANDWRITTEN.
+CORPUS = [name for name, _ in builtin_sources()] + list(HANDWRITTEN)
+
 _CACHE: dict[object, object] = {}
 
 
 def builtin_program(name: str):
-    """Compile a builtin workload once per session."""
+    """Compile a builtin workload (or a HANDWRITTEN one) once per
+    session."""
     if name not in _CACHE:
-        source = dict(builtin_sources())[name]
+        source = HANDWRITTEN.get(name) or dict(builtin_sources())[name]
         _CACHE[name] = compile_source(source)
     return _CACHE[name]
 

@@ -1,16 +1,17 @@
 """Cross-backend conformance: codegen vs the reference oracle.
 
 A single harness judges the codegen backend against the tree-walking
-reference interpreter, over every builtin workload (with and without
-an ``INPUT()`` vector) and 75 seeded generator-corpus programs, plain
-and profiled, including step-limit aborts.  Any divergence, down to
+reference interpreter, over every builtin workload and the
+hand-written structuring programs of ``harness.HANDWRITTEN`` (with
+and without an ``INPUT()`` vector) and 75 seeded generator-corpus
+programs, plain and profiled, including step-limit aborts.  Any divergence, down to
 an error message or the repr of a float, is a bug in a lowering.
 """
 
 import pytest
 
-from repro.workloads import builtin_sources
 from tests.conformance.harness import (
+    CORPUS,
     INPUTS,
     assert_conformance,
     builtin_program,
@@ -22,12 +23,12 @@ pytestmark = [pytest.mark.conformance, pytest.mark.differential]
 N_PROGRAMS = 75
 
 
-@pytest.mark.parametrize("name", [n for n, _ in builtin_sources()])
+@pytest.mark.parametrize("name", CORPUS)
 def test_builtin_with_inputs(name):
     assert_conformance(builtin_program(name), seed=3, inputs=INPUTS)
 
 
-@pytest.mark.parametrize("name", [n for n, _ in builtin_sources()])
+@pytest.mark.parametrize("name", CORPUS)
 def test_builtin_without_inputs(name):
     """No INPUT() vector: programs that read one must fail identically."""
     assert_conformance(builtin_program(name), seed=3)

@@ -16,9 +16,9 @@ import pytest
 from repro.checker import audit_bump_sites
 from repro.codegen import codegen_backend_for
 from repro.pipeline import smart_program_plan
-from repro.workloads import builtin_sources
 
 from tests.conformance.harness import (
+    CORPUS,
     INPUTS,
     assert_conformance,
     builtin_program,
@@ -30,7 +30,7 @@ pytestmark = [pytest.mark.conformance, pytest.mark.differential]
 N_PROGRAMS = 30
 
 
-@pytest.mark.parametrize("name", [n for n, _ in builtin_sources()])
+@pytest.mark.parametrize("name", CORPUS)
 def test_builtin_optimized(name):
     assert_conformance(
         builtin_program(name), seed=3, inputs=INPUTS, optimize=True
@@ -74,7 +74,7 @@ class TestEmission:
 class TestBumpAudit:
     """REP405 stays clean: pruned edge slots are excluded, not missed."""
 
-    @pytest.mark.parametrize("name", [n for n, _ in builtin_sources()])
+    @pytest.mark.parametrize("name", CORPUS)
     def test_optimized_emission_passes_audit(self, name):
         program = builtin_program(name)
         plan = smart_program_plan(program)

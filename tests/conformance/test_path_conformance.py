@@ -1,8 +1,9 @@
 """Path-mode conformance: fused path registers vs the reference hook.
 
 The Ball–Larus path register is fused into all three backends, so it
-gets the same treatment counters do: every builtin (with and without
-an ``INPUT()`` vector) and the full 75-program generator corpus run
+gets the same treatment counters do: every builtin and hand-written
+``harness.HANDWRITTEN`` program (with and without an ``INPUT()``
+vector) and the full 75-program generator corpus run
 path-profiled on every backend, and the observations — path-count
 spectra, STOP partials, update tallies, outputs, costs — must be
 identical down to float reprs.  Each conformant reference spectrum is
@@ -12,8 +13,8 @@ Definition-3 ``FREQ``/``NODE_FREQ``/``TOTAL_FREQ`` bit-for-bit.
 
 import pytest
 
-from repro.workloads import builtin_sources
 from tests.conformance.harness import (
+    CORPUS,
     INPUTS,
     assert_path_conformance,
     builtin_program,
@@ -29,12 +30,12 @@ pytestmark = [
 N_PROGRAMS = 75
 
 
-@pytest.mark.parametrize("name", [n for n, _ in builtin_sources()])
+@pytest.mark.parametrize("name", CORPUS)
 def test_builtin_with_inputs(name):
     assert_path_conformance(builtin_program(name), seed=3, inputs=INPUTS)
 
 
-@pytest.mark.parametrize("name", [n for n, _ in builtin_sources()])
+@pytest.mark.parametrize("name", CORPUS)
 def test_builtin_without_inputs(name):
     """No INPUT() vector: programs that read one must fail identically."""
     assert_path_conformance(builtin_program(name), seed=3)
