@@ -7,10 +7,10 @@ rides on.  This benchmark times, over the Livermore corpus plus a
 slice of generator programs:
 
 * ``compile``   — ``compile_source`` + both counter plans + lowering
-  the codegen backend (``ensure_lowered`` emits and ``compile()``s the
-  module): everything ``repro run`` pays before the first statement
-  executes, and a subset of what ``repro check`` pays (its REP405
-  audit lowers *two* variants);
+  the codegen backend (``emitted_source()`` emits and ``compile()``s
+  the base variant): everything ``repro run`` pays before the first
+  statement executes, and a subset of what ``repro check`` pays (its
+  REP405 audit lowers *two* variants);
 * ``dataflow``  — ``analyze_procedure`` (all four fixpoints) over
   every procedure, including the interprocedural ``param_summaries``
   pass.
@@ -78,7 +78,7 @@ def _compile_and_lower(source: str) -> None:
     program = compile_source(source)
     smart_program_plan(program)
     naive_program_plan(program)
-    codegen_backend_for(program).ensure_lowered()
+    codegen_backend_for(program).emitted_source()
 
 
 def _dataflow_sweep(program) -> None:

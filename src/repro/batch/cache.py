@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import repro
-from repro.codegen import LoweringError, codegen_backend_for
+from repro.codegen import codegen_backend_for
 from repro.obs import metrics
 from repro.paths import path_program_plan
 from repro.pipeline import (
@@ -50,7 +50,9 @@ from repro.profiling import ProgramPlan
 #: 4: entries may carry Ball–Larus path plans (plan kind ``"paths"``).
 #: 5: the closure-compiled engine is retired; programs carry only the
 #:    codegen shell.
-CACHE_FORMAT = 5
+#: 6: the codegen shell no longer ships emitted base source or its
+#:    fingerprint; every variant is emitted on first use.
+CACHE_FORMAT = 6
 
 _PLAN_BUILDERS = {
     "smart": smart_program_plan,
@@ -76,18 +78,12 @@ class CachedArtifacts:
 def _compile_entry(source: str) -> CachedArtifacts:
     """Compile a source and attach the codegen backend's shell.
 
-    The shell pickles sharing the program's checked AST and CFGs via
-    the pickle memo, and ships its emitted base source plus a
-    fingerprint, so a disk hit in another process skips straight to
-    ``compile()`` of the cached text; a program the emitter cannot
-    lower simply caches without a pre-emitted source.
+    Nothing is emitted here: the shell pickles only the program's
+    checked AST and CFGs (shared via the pickle memo), and the first
+    run in any process emits the one variant it executes.
     """
     program = compile_source(source)
-    codegen = codegen_backend_for(program)
-    try:
-        codegen.ensure_lowered()
-    except LoweringError:
-        pass  # auto-selection will step down to the reference engine
+    codegen_backend_for(program)
     return CachedArtifacts(program=program)
 
 

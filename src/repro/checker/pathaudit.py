@@ -295,7 +295,6 @@ def check_codegen_path_sites(program, plan) -> list[Diagnostic]:
 
     backend = codegen_backend_for(program)
     try:
-        backend.ensure_lowered()
         meta = backend.emit_meta(plan)
     except LoweringError:
         return []

@@ -58,7 +58,6 @@ def check_codegen_bumps(program, plan) -> list[Diagnostic]:
 
     backend = codegen_backend_for(program)
     try:
-        backend.ensure_lowered()
         meta = backend.emit_meta(plan)
     except LoweringError:
         return []

@@ -2,11 +2,13 @@
 
 A :class:`CodegenBackend` owns one program's emitted form.  Each
 *variant* — one machine model's cost constants and one counter plan's
-slot table folded into the text — is emitted once by
+slot table folded into the text — is emitted lazily, the first time a
+run or an introspection call asks for it, by
 :func:`repro.codegen.emit.emit_module`, compiled with :func:`compile`,
 ``exec``'d into a namespace from
 :func:`repro.codegen.runtime.make_namespace`, and cached by
-``(plan fingerprint, model)``.
+``(plan fingerprint, model)``.  A variant the lowering rejects is
+memoized too, so it is attempted once.
 
 Runs are bit-identical to the reference interpreter: same outputs,
 same error messages from the same program states, same float
@@ -77,12 +79,13 @@ class CodegenBackend:
         #: stores at emission time (results stay bit-identical — the
         #: pruned regions have static FREQ 0).
         self.optimize = optimize
-        self._shipped_source: str | None = None
         self._reset_compiled()
 
     def _reset_compiled(self) -> None:
         self._shapes: dict[str, ProcShape] | None = None
         self._variants: dict[tuple, _Variant] = {}
+        #: Variant key -> (model, LoweringError) for rejected variants.
+        self._rejected: dict[tuple, tuple] = {}
         self._lower_error: LoweringError | None = None
         # Mutable run-state boxes, captured by the emitted modules'
         # namespaces (identity must stay stable across variants).
@@ -110,77 +113,50 @@ class CodegenBackend:
                 f"call depth limit reached invoking {name}"
             )
 
-    # -- pickling: ship the shell + emitted base source ----------------
+    # -- pickling: ship the shell, re-emit on demand ------------------
 
     def __getstate__(self):
-        source = None
-        fingerprint = None
-        # Optimized backends never ship source: the unpickled shell has
-        # no optimization plan, so the cached text would not match.
-        base = (
-            self._variants.get((None, None))
-            if self.optimize is None
-            else None
-        )
-        if base is not None:
-            source = base.source
-            fingerprint = _fingerprint(base.source)
-        return {
-            "checked": self.checked,
-            "cfgs": self.cfgs,
-            "source": source,
-            "fingerprint": fingerprint,
-        }
+        return {"checked": self.checked, "cfgs": self.cfgs}
 
     def __setstate__(self, state):
         self.checked = state["checked"]
         self.cfgs = state["cfgs"]
         self.mutation = None
         self.optimize = None
-        self._shipped_source = state.get("source")
-        shipped_fp = state.get("fingerprint")
-        if (
-            self._shipped_source is not None
-            and shipped_fp != _fingerprint(self._shipped_source)
-        ):
-            self._shipped_source = None  # stale or corrupt: re-emit
         self._reset_compiled()
 
     # -- lowering ------------------------------------------------------
 
     def ensure_lowered(self) -> None:
-        """Emit and compile the base variant if not done yet; raises
-        LoweringError (memoized) when the program cannot be lowered."""
+        """Build the per-procedure shapes and hit arrays if not done
+        yet; raises LoweringError (memoized) when the program cannot be
+        lowered.  Emits nothing: each variant is emitted on first use."""
         if self._shapes is not None:
             return
         if self._lower_error is not None:
-            raise self._lower_error
+            # A fresh traceback per raise: re-raising an instance
+            # otherwise grows its traceback chain every time.
+            raise self._lower_error.with_traceback(None)
         try:
             shapes: dict[str, ProcShape] = {}
             for index, (name, cfg) in enumerate(self.cfgs.items()):
                 shapes[name] = build_shape(self.checked, name, cfg, index)
-            self._node_hits = {
-                name: [0] * len(s.node_ids) for name, s in shapes.items()
-            }
-            self._edge_hits = {
-                name: [0] * len(s.edge_keys) for name, s in shapes.items()
-            }
-            self._call_boxes = {name: [0] for name in shapes}
-            self._slots_list[:] = [None] * len(shapes)
-            self._path_slots_list[:] = [None] * len(shapes)
-            self._shapes = shapes
-            self._emit_variant(None, None)
         except LoweringError as exc:
-            self._shapes = None
             self._lower_error = exc
-            metrics.counter(
-                "repro_codegen_emits_total",
-                "Codegen-backend emission passes.",
-                labels=("outcome",),
-            ).inc(outcome="fallback")
+            _emits().inc(outcome="fallback")
             raise
+        self._node_hits = {
+            name: [0] * len(s.node_ids) for name, s in shapes.items()
+        }
+        self._edge_hits = {
+            name: [0] * len(s.edge_keys) for name, s in shapes.items()
+        }
+        self._call_boxes = {name: [0] for name in shapes}
+        self._slots_list[:] = [None] * len(shapes)
+        self._path_slots_list[:] = [None] * len(shapes)
+        self._shapes = shapes
 
-    def _emit_variant(self, plan, model) -> _Variant:
+    def _emit_variant(self, key, plan, model) -> _Variant:
         started = time.perf_counter()
         with span("compile.codegen") as codegen_span:
             plan_tables = None
@@ -205,29 +181,17 @@ class CodegenBackend:
                     for name, cfg in self.cfgs.items()
                 }
                 cu = model.counter_update
-            if (
-                plan is None
-                and model is None
-                and self.mutation is None
-                and self.optimize is None
-                and self._shipped_source is not None
-            ):
-                # The artifact cache shipped the base source: skip
-                # re-emission, compile the cached text directly.
-                source = self._shipped_source
-                meta = None
-            else:
-                source, meta = emit_module(
-                    self.checked,
-                    self.cfgs,
-                    self._shapes,
-                    plan_tables=plan_tables,
-                    path_tables=path_tables,
-                    costs=costs,
-                    cu=cu,
-                    mutation=self.mutation,
-                    optimize=self.optimize,
-                )
+            source, meta = emit_module(
+                self.checked,
+                self.cfgs,
+                self._shapes,
+                plan_tables=plan_tables,
+                path_tables=path_tables,
+                costs=costs,
+                cu=cu,
+                mutation=self.mutation,
+                optimize=self.optimize,
+            )
             fingerprint = _fingerprint(source)
             try:
                 code = compile(
@@ -249,16 +213,8 @@ class CodegenBackend:
                 costed=model is not None,
             )
         variant = _Variant(source, meta, main, model)
-        key = (
-            _plan_key(plan),
-            id(model) if model is not None else None,
-        )
         self._variants[key] = variant
-        metrics.counter(
-            "repro_codegen_emits_total",
-            "Codegen-backend emission passes.",
-            labels=("outcome",),
-        ).inc(outcome="ok")
+        _emits().inc(outcome="ok")
         metrics.histogram(
             "repro_codegen_emit_seconds",
             "Codegen-backend emission latency in seconds.",
@@ -266,36 +222,35 @@ class CodegenBackend:
         return variant
 
     def _variant(self, plan, model) -> _Variant:
+        """The compiled variant for ``(plan, model)``, emitted on first
+        use; a rejected variant re-raises its memoized LoweringError."""
+        self.ensure_lowered()
         key = (
             _plan_key(plan),
             id(model) if model is not None else None,
         )
+        # The strong model references held by variants and rejections
+        # keep id(model) stable for their lifetime.
         variant = self._variants.get(key)
-        # The strong model reference inside the variant keeps
-        # id(model) stable for its lifetime.
         if variant is not None and (model is None or variant.model is model):
             return variant
-        return self._emit_variant(plan, model)
+        rejected = self._rejected.get(key)
+        if rejected is not None and rejected[0] is model:
+            raise rejected[1].with_traceback(None)
+        try:
+            return self._emit_variant(key, plan, model)
+        except LoweringError as exc:
+            self._rejected[key] = (model, exc)
+            _emits().inc(outcome="fallback")
+            raise
 
     # -- introspection (tests, --dump-source, REP4xx audit) ------------
 
     def emitted_source(self, plan=None, model=None) -> str:
-        self.ensure_lowered()
         return self._variant(plan, model).source
 
     def emit_meta(self, plan=None, model=None) -> EmitMeta:
-        self.ensure_lowered()
-        variant = self._variant(plan, model)
-        if variant.meta is None:
-            # Base variant compiled from cache-shipped source: emission
-            # is deterministic, so re-derive the metadata once.
-            _source, variant.meta = emit_module(
-                self.checked,
-                self.cfgs,
-                self._shapes,
-                optimize=self.optimize,
-            )
-        return variant.meta
+        return self._variant(plan, model).meta
 
     # -- execution -----------------------------------------------------
 
@@ -327,7 +282,6 @@ class CodegenBackend:
                 f"codegen backend only supports PlanExecutor or "
                 f"PathExecutor hooks, not {type(hooks).__name__}"
             )
-        self.ensure_lowered()
         active_plan = None
         if executor is not None:
             active_plan = executor.plan
@@ -443,6 +397,14 @@ def _plan_key(plan):
     return plan_fingerprint(plan)
 
 
+def _emits():
+    return metrics.counter(
+        "repro_codegen_emits_total",
+        "Codegen-backend emission passes.",
+        labels=("outcome",),
+    )
+
+
 def _fingerprint(source: str) -> str:
     return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
@@ -451,8 +413,8 @@ def codegen_backend_for(program, *, optimize: bool = False) -> CodegenBackend:
     """The (cached) codegen backend of a CompiledProgram.
 
     The backend rides along as a ``_codegen`` attribute so the
-    content-hash artifact cache persists its shell — checked program,
-    CFGs and the emitted base source — with the program.  With
+    content-hash artifact cache persists its shell — the checked
+    program and CFGs, never emitted code — with the program.  With
     ``optimize=True`` a second backend (cached as ``_codegen_opt``)
     is built around the program's dataflow
     :func:`~repro.dataflow.optimize.plan_optimizations` plan; it is

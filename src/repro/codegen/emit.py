@@ -1116,11 +1116,19 @@ class ProcEmitter:
         if self.costs is None:
             return
         cost = float(self.costs[k])
-        # The mutation drops the first *non-zero* cost add: dropping a
-        # zero add would be observationally invisible.
-        if cost and self._mut("drop-cost"):
+        # A zero add is never emitted: the accumulator starts at +0.0
+        # and an IEEE sum is -0.0 only when both addends are, so
+        # skipping it is bit-identical.  For the same reason the
+        # mutation drops the first *non-zero* cost add.
+        if not cost or self._mut("drop-cost"):
             return
         self.line(f"_c[0] += {_lit(cost)}")
+
+    def bk_ccost(self, ops: int) -> None:
+        """The counter-update cycle add for ``ops`` updates; a zero add
+        is skipped, as in :meth:`bk_cost`."""
+        if self.cu is not None and ops * self.cu:
+            self.line(f"_cc[0] += {_lit(ops * self.cu)}")
 
     def bk_node(self, k: int) -> None:
         self.bk_charge()
@@ -1266,8 +1274,7 @@ class ProcEmitter:
         if ops:
             self.uses_slots = True
             self.line(f"_o_l += {ops}")
-            if self.cu is not None:
-                self.line(f"_cc[0] += {_lit(ops * self.cu)}")
+            self.bk_ccost(ops)
 
     def bk_path_edge(self, k: int, label: str) -> None:
         """The on_edge path-register update: ``_pr += k`` on a non-zero
@@ -1285,8 +1292,7 @@ class ProcEmitter:
             self.line("_pp[_pk] = _pp.get(_pk, 0.0) + 1.0")
             self.line(f"_pr = {reset}")
             self.line("_o_l += 2")
-            if self.cu is not None:
-                self.line(f"_cc[0] += {_lit(2 * self.cu)}")
+            self.bk_ccost(2)
             self.meta.path_sites[self.shape.name].append(
                 ("flush", key, bump_add, reset)
             )
@@ -1295,8 +1301,7 @@ class ProcEmitter:
         if inc:
             self.line(f"_pr += {inc}")
             self.line("_o_l += 1")
-            if self.cu is not None:
-                self.line(f"_cc[0] += {_lit(self.cu)}")
+            self.bk_ccost(1)
             self.meta.path_sites[self.shape.name].append(("inc", key, inc))
 
     def bk_edge_slot(self, k: int, label: str) -> None:
@@ -1314,8 +1319,7 @@ class ProcEmitter:
         self.line(f"slots[{cid}] += 1.0")
         self.meta.bumps[self.shape.name].append((cid, "edge", (nid, label)))
         self.line("_o_l += 1")
-        if self.cu is not None:
-            self.line(f"_cc[0] += {_lit(self.cu)}")
+        self.bk_ccost(1)
 
     def bk_edge(self, k: int, label: str) -> None:
         nid = self.shape.node_ids[k]
@@ -1334,8 +1338,7 @@ class ProcEmitter:
         self.line(f"slots[{cid}] += 1.0")
         self.meta.bumps[self.shape.name].append((cid, "edge", (nid, label)))
         self.line("_o_l += 1")
-        if self.cu is not None:
-            self.line(f"_cc[0] += {_lit(self.cu)}")
+        self.bk_ccost(1)
 
     # -- node actions ---------------------------------------------------
 
@@ -1370,8 +1373,7 @@ class ProcEmitter:
             # The on_node EXIT flush: paths[_pr] += 1 (1 update).
             self.line("_pp[_pr] = _pp.get(_pr, 0.0) + 1.0")
             self.line("_o_l += 1")
-            if self.cu is not None:
-                self.line(f"_cc[0] += {_lit(self.cu)}")
+            self.bk_ccost(1)
             self.meta.path_sites[self.shape.name].append(
                 ("exit", self.shape.node_ids[k])
             )

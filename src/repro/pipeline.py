@@ -147,8 +147,9 @@ def _select_backend(
     or :class:`PathExecutor` (chained hooks, loop-moment recording) or
     a program the emitter rejects — recording each step down in
     ``repro_backend_fallbacks_total{reason}``.  The variant the run
-    will execute (its hooks' plan, ``model``) is lowered here, so a
-    rejection surfaces before the run.  ``"codegen"`` forces
+    will execute (its hooks' plan, ``model``) is the one emitted and
+    compiled here, on first use, so a rejection surfaces before the
+    run; no other variant is emitted.  ``"codegen"`` forces
     the fast engine (raising :class:`LoweringError` instead of falling
     back) and ``"reference"`` forces the interpreter.
 

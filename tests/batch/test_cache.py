@@ -6,6 +6,7 @@ import pytest
 
 from repro.batch import ArtifactCache, CachedArtifacts, source_key
 from repro.errors import ReproError
+from repro.obs import metrics
 from repro.workloads.generators import ProgramGenerator
 
 pytestmark = pytest.mark.batch
@@ -144,6 +145,17 @@ class TestKeying:
         blob = pickle.dumps(CachedArtifacts(program, {"smart": plan}))
         entry = pickle.loads(blob)
         assert entry.program.main_name == program.main_name
+
+    def test_miss_emits_nothing(self):
+        """A miss compiles and plans; emission waits for the first run."""
+
+        def emits() -> float:
+            counter = metrics.registry().get("repro_codegen_emits_total")
+            return counter.value(outcome="ok") if counter is not None else 0.0
+
+        before = emits()
+        ArtifactCache().artifacts(ProgramGenerator(11).source())
+        assert emits() == before
 
     def test_fresh_entry_carries_only_the_codegen_shell(self):
         from repro.batch.cache import _compile_entry

@@ -125,6 +125,11 @@ def _lowering_fallbacks() -> float:
     return counter.value(reason="lowering") if counter is not None else 0.0
 
 
+def _emits(outcome: str) -> float:
+    counter = metrics.registry().get("repro_codegen_emits_total")
+    return counter.value(outcome=outcome) if counter is not None else 0.0
+
+
 class TestPythonNestingLimits:
     """Valid programs whose emitted source breaks one of Python's own
     nesting limits fall back to the reference interpreter instead of
@@ -157,6 +162,43 @@ class TestPythonNestingLimits:
         assert profile.to_dict() == reference.to_dict()
         with pytest.raises(LoweringError):
             profile_program(program, 1, mode="paths", backend="codegen")
+
+    def test_rejected_variant_is_memoized_and_counted(self, monkeypatch):
+        """A variant Python rejects is emitted once, counted once as a
+        fallback, and every later ``auto`` run falls back at once."""
+        import repro.codegen.backend as backend_module
+
+        attempts = []
+        real_emit = backend_module.emit_module
+
+        def counting_emit(*args, **kwargs):
+            attempts.append(kwargs.get("path_tables") is not None)
+            return real_emit(*args, **kwargs)
+
+        monkeypatch.setattr(backend_module, "emit_module", counting_emit)
+        program = compile_source(_nested_do(18, call=True))
+        before = _emits("fallback")
+        first, _ = profile_program(program, 1, mode="paths")
+        again, _ = profile_program(program, 1, mode="paths")
+        assert _emits("fallback") == before + 1
+        assert attempts == [True]  # the paths variant alone, once
+        assert first.to_dict() == again.to_dict()
+
+
+class TestLazyEmission:
+    """Only the variant a run executes is emitted."""
+
+    def test_cold_profile_emits_once(self, program):
+        before = _emits("ok")
+        profile_program(program, [{"inputs": (4.0,)}] * 2)
+        assert _emits("ok") == before + 1
+
+    def test_ensure_lowered_emits_nothing(self, program):
+        backend = codegen_backend_for(program)
+        before = _emits("ok")
+        backend.ensure_lowered()
+        assert _emits("ok") == before
+        assert backend._variants == {}
 
 
 class TestBackendCache:

@@ -3,24 +3,30 @@
 The conformance suite proves behavioural identity; these tests pin
 the *mechanism* — structured emission with basic-block fusion for
 every procedure of the builtins and a 500-program generator sweep
-(no dispatch loop, tail duplication under its growth bound), variant
-caching, the pickled cache shell, and the hooks contract.
+(no dispatch loop, tail duplication under its growth bound), no zero
+cost adds, variant caching, the pickled cache shell, and the hooks
+contract.
 """
 
+import math
 import pickle
+from dataclasses import replace
 
 import pytest
 
-from repro import SCALAR_MACHINE, compile_source, smart_program_plan
-from repro.codegen import (
-    CodegenBackend,
-    UnsupportedHooksError,
-    codegen_backend_for,
+from repro import (
+    OPTIMIZING_MACHINE,
+    SCALAR_MACHINE,
+    compile_source,
+    smart_program_plan,
 )
+from repro.codegen import UnsupportedHooksError, codegen_backend_for
 from repro.codegen.emit import _MAX_GROWTH, emit_module
 from repro.codegen.shape import build_shape
+from repro.pipeline import paths_program_plan, run_program
 from repro.profiling import PlanExecutor
 from repro.workloads import builtin_sources
+from repro.workloads.paper_example import PAPER_SOURCE
 from repro.workloads.generators import ProgramGenerator
 
 pytestmark = pytest.mark.codegen
@@ -84,6 +90,44 @@ class TestEmission:
         assert first == again
         assert backend.emitted_source() != first  # base variant differs
 
+    def test_no_zero_cost_adds(self):
+        """No builtin's variant emits a zero `_c`/`_cc` add, even with
+        free counter updates."""
+        free_counters = replace(OPTIMIZING_MACHINE, counter_update=0.0)
+        for _name, source in builtin_sources():
+            program = compile_source(source)
+            backend = codegen_backend_for(program)
+            plans = (smart_program_plan(program), paths_program_plan(program))
+            for plan in plans:
+                for model in (SCALAR_MACHINE, free_counters):
+                    text = backend.emitted_source(plan, model)
+                    assert "+= 0.0" not in text
+                    assert "+= 0\n" not in text
+
+    def test_skipped_zero_adds_stay_bit_identical(self):
+        """Both accumulators match the reference bit for bit, sign of
+        zero included, when every counter update is free."""
+        free_counters = replace(OPTIMIZING_MACHINE, counter_update=0.0)
+        program = compile_source(PAPER_SOURCE)
+        plan = smart_program_plan(program)
+        results = [
+            run_program(
+                program,
+                model=free_counters,
+                hooks=PlanExecutor(plan),
+                seed=3,
+                inputs=(6.0,),
+                backend=backend,
+            )
+            for backend in ("reference", "codegen")
+        ]
+        for field_name in ("total_cost", "counter_cost"):
+            values = [getattr(result, field_name) for result in results]
+            assert values[0] == values[1]
+            assert [math.copysign(1.0, v) for v in values] == [1.0, 1.0]
+        assert results[1].counter_cost == 0.0
+        assert results[1].counter_ops > 0
+
     def test_every_procedure_emits_structured(self):
         """Builtins plus generator seeds 0-499: no procedure needs a
         dispatch loop, and tail duplication stays under its bound
@@ -108,21 +152,25 @@ class TestBackendShell:
         program = compile_source(STRUCTURED)
         assert codegen_backend_for(program) is codegen_backend_for(program)
 
-    def test_pickle_ships_base_source(self, loop_backend):
+    def test_pickle_round_trip_reemits_identical_source(self, loop_backend):
+        """The pickled shell carries no emitted code; the clone emits
+        byte-identical source for the same (plan, model) and runs
+        identically."""
         program, backend = loop_backend
+        plan = smart_program_plan(program)
+        expected = backend.emitted_source(plan, SCALAR_MACHINE)
         clone = pickle.loads(pickle.dumps(backend))
-        assert clone._shipped_source == backend.emitted_source()
-        clone.ensure_lowered()
-        assert clone.run(seed=0).outputs == backend.run(seed=0).outputs
-
-    def test_corrupt_shipped_source_is_discarded(self, loop_backend):
-        _program, backend = loop_backend
-        state = backend.__getstate__()
-        state["source"] = state["source"] + "\n# tampered"
-        clone = CodegenBackend.__new__(CodegenBackend)
-        clone.__setstate__(state)
-        assert clone._shipped_source is None  # fingerprint mismatch
-        clone.ensure_lowered()  # re-emits from the CFGs instead
+        assert clone._variants == {}
+        assert clone.emitted_source(plan, SCALAR_MACHINE) == expected
+        runs = [
+            engine.run(
+                model=SCALAR_MACHINE, hooks=PlanExecutor(plan), seed=0
+            )
+            for engine in (backend, clone)
+        ]
+        assert runs[0].outputs == runs[1].outputs
+        assert runs[0].total_cost == runs[1].total_cost
+        assert runs[0].node_counts == runs[1].node_counts
 
     def test_rejects_foreign_hooks(self, loop_backend):
         program, backend = loop_backend
@@ -137,6 +185,5 @@ class TestBackendShell:
     def test_all_builtins_lower(self):
         """Every builtin workload is expressible in the codegen
         backend — auto-selection never needs to fall back on them."""
-        for name, source in builtin_sources():
-            backend = codegen_backend_for(compile_source(source))
-            backend.ensure_lowered()
+        for _name, source in builtin_sources():
+            codegen_backend_for(compile_source(source)).emitted_source()
