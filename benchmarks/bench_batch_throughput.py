@@ -14,24 +14,34 @@ The paper's Table 1 argues optimized counter placement makes the
   the same workload: every compilation is served from the cache.
 
 Acceptance: cached batch profiling (pooled, warm) must be at least
-2× faster than the serial loop on the 32-program workload, and serial
-and pooled execution must return byte-identical aggregates.
+2× faster than the serial loop on the 32-program workload (ratio of
+interleaved leg means), and serial and pooled execution must return
+byte-identical aggregates.
 """
 
 from __future__ import annotations
 
-import time
-
 from repro import compile_source, profile_program
 from repro.batch import BatchItem, run_batch
 from repro.report import format_table
+from repro.validate.measure import measure_callable
 from repro.workloads.generators import ProgramGenerator
 
-from conftest import publish
+from conftest import enforce, gate, interleaved, publish, record
 
 N_PROGRAMS = 32
 RUN_CONFIGS = [{"seed": seed} for seed in range(6)]
+#: Interleaved trials per leg.  The cold pass populates the cache
+#: (which is also the warm legs' warmup), so no warmup trials run.
+TRIALS = 3
 _SPEEDUP_FLOOR = 2.0
+#: Table rows: layer -> configuration.
+CONFIGURATIONS = {
+    "batch.serial_loop": "serial loop (recompile per task)",
+    "batch.engine_cold": "engine, cold cache (serial, 1 pass)",
+    "batch.engine_warm": "engine, warm cache (serial)",
+    "batch.engine_warm_pooled": "engine, warm cache (pooled)",
+}
 
 
 def _workload() -> list[BatchItem]:
@@ -45,85 +55,81 @@ def _workload() -> list[BatchItem]:
     ]
 
 
-def _serial_loop(items: list[BatchItem]) -> float:
+def _serial_loop(items: list[BatchItem]) -> None:
     """The pre-batch pipeline: re-derive everything per (program, run)."""
-    started = time.perf_counter()
     for item in items:
         for spec in item.runs:
             program = compile_source(item.source)
             profile_program(program, runs=[dict(spec)])
-    return time.perf_counter() - started
 
 
 def test_batch_throughput(tmp_path):
     items = _workload()
-    n_tasks = N_PROGRAMS * len(RUN_CONFIGS)
-    cache_dir = tmp_path / "artifact-cache"
+    reports = {}
 
-    serial_loop = _serial_loop(items)
+    def engine(label, **kwargs):
+        def run(_trial):
+            reports[label] = run_batch(items, cache=tmp_path, **kwargs)
 
-    cold = run_batch(items, mode="serial", cache=cache_dir)
-    # Shared CI machines throttle long runs; take the best of two
-    # passes for the warm configurations so a noise spike in one pass
-    # does not masquerade as engine cost.
-    warm_serial = min(
-        (run_batch(items, mode="serial", cache=cache_dir) for _ in range(2)),
-        key=lambda report: report.elapsed,
-    )
-    warm_pooled = min(
-        (
-            run_batch(items, mode="process", jobs=2, cache=cache_dir)
-            for _ in range(2)
+        return run
+
+    # The cold pass fills the cache, so it has exactly one sample.
+    layers = {
+        "batch.engine_cold": measure_callable(
+            engine("cold", mode="serial"), trials=1, label="batch.engine_cold"
         ),
-        key=lambda report: report.elapsed,
-    )
+        **interleaved(
+            {
+                "batch.serial_loop": lambda _trial: _serial_loop(items),
+                "batch.engine_warm": engine("warm", mode="serial"),
+                "batch.engine_warm_pooled": engine(
+                    "pooled", mode="process", jobs=2
+                ),
+            },
+            trials=TRIALS,
+            warmup=0,
+        ),
+    }
 
-    assert all(r.ok for r in cold.results)
-    assert cold.cache_stats["misses"] == N_PROGRAMS
-    assert warm_serial.cache_stats["misses"] == 0
-    assert warm_pooled.cache_stats["misses"] == 0
+    assert all(r.ok for r in reports["cold"].results)
+    assert reports["cold"].cache_stats["misses"] == N_PROGRAMS
+    assert reports["warm"].cache_stats["misses"] == 0
+    assert reports["pooled"].cache_stats["misses"] == 0
 
     # Determinism: execution mode and cache temperature must not leak
     # into the aggregate.  Byte-identical, not just numerically close.
-    assert cold.aggregate_json() == warm_serial.aggregate_json()
-    assert warm_serial.aggregate_json() == warm_pooled.aggregate_json()
+    aggregates = {label: r.aggregate_json() for label, r in reports.items()}
+    assert aggregates["cold"] == aggregates["warm"] == aggregates["pooled"]
 
-    rows = [
-        ["serial loop (recompile per task)", n_tasks, serial_loop, 1.0],
-        [
-            "engine, cold cache (serial)",
-            n_tasks,
-            cold.elapsed,
-            serial_loop / cold.elapsed,
-        ],
-        [
-            "engine, warm cache (serial)",
-            n_tasks,
-            warm_serial.elapsed,
-            serial_loop / warm_serial.elapsed,
-        ],
-        [
-            "engine, warm cache (pooled)",
-            n_tasks,
-            warm_pooled.elapsed,
-            serial_loop / warm_pooled.elapsed,
-        ],
-    ]
+    serial_loop = layers["batch.serial_loop"].mean_ns
+    tasks = N_PROGRAMS * len(RUN_CONFIGS)
     publish(
         "batch_throughput",
         format_table(
             ["configuration", "tasks", "seconds", "speedup"],
-            rows,
+            [
+                [text, tasks, layers[layer].mean_ns / 1e9,
+                 serial_loop / layers[layer].mean_ns]
+                for layer, text in CONFIGURATIONS.items()
+            ],
             title=(
                 f"batch profiling throughput: {N_PROGRAMS} programs x "
-                f"{len(RUN_CONFIGS)} run configs"
+                f"{len(RUN_CONFIGS)} run configs "
+                f"(mean of {TRIALS} interleaved trials)"
             ),
         ),
     )
-
-    pooled_speedup = serial_loop / warm_pooled.elapsed
-    assert pooled_speedup >= _SPEEDUP_FLOOR, (
-        f"pooled+cached batch is only {pooled_speedup:.2f}x the serial loop"
+    pooled_speedup = serial_loop / layers["batch.engine_warm_pooled"].mean_ns
+    enforce(
+        record(
+            "batch",
+            end_to_end={
+                "batch.pooled_warm_speedup": gate(
+                    pooled_speedup, _SPEEDUP_FLOOR, "higher"
+                )
+            },
+            layers=layers,
+        )
     )
 
 
@@ -132,15 +138,30 @@ def test_cache_amortizes_repeated_configs(tmp_path):
     source = ProgramGenerator(5).source()
     many_runs = tuple({"seed": seed} for seed in range(8))
     item = BatchItem(id="hot", source=source, runs=many_runs)
-
-    started = time.perf_counter()
-    for spec in many_runs:
-        program = compile_source(source)
-        profile_program(program, runs=[dict(spec)])
-    loop_elapsed = time.perf_counter() - started
-
-    report = run_batch([item], mode="serial", cache=tmp_path)
-    assert report.cache_stats["misses"] == 1
-    assert report.results[0].ok
-    # One compilation instead of eight: the engine must not be slower.
-    assert report.elapsed < loop_elapsed
+    reports = []
+    legs = interleaved(
+        {
+            "batch.loop_8_configs": lambda _trial: _serial_loop([item]),
+            # A fresh cache per trial: one compilation instead of eight.
+            "batch.engine_8_configs": lambda trial: reports.append(
+                run_batch([item], mode="serial", cache=tmp_path / f"c{trial}")
+            ),
+        },
+        trials=TRIALS,
+    )
+    assert all(r.cache_stats["misses"] == 1 for r in reports)
+    assert all(r.results[0].ok for r in reports)
+    # The engine must not be slower than recompiling per config.
+    speedup = (
+        legs["batch.loop_8_configs"].mean_ns
+        / legs["batch.engine_8_configs"].mean_ns
+    )
+    enforce(
+        record(
+            "batch_amortization",
+            end_to_end={
+                "batch.amortized_speedup": gate(speedup, 1.0, "higher")
+            },
+            layers=legs,
+        )
+    )

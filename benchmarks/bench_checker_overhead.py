@@ -13,88 +13,62 @@ LOOPS benchmark) plus a slice of generator programs:
   pays this).
 
 Acceptance: verification costs < 15 % of compile-and-plan time,
-averaged over the corpus.
+summed over the corpus (ratio of the summed leg means).
 """
 
 from __future__ import annotations
 
-import time
-
 from repro import compile_source, naive_program_plan, smart_program_plan
 from repro.checker import lint_program, verify_program
 from repro.report import format_table
-from repro.workloads import builtin_sources
-from repro.workloads.generators import ProgramGenerator
 
-from conftest import publish
+from conftest import (
+    enforce, front_end_corpus, gate, interleaved, ms, publish, record,
+)
 
-N_GENERATED = 12
 REPEATS = 5
 _OVERHEAD_CEILING = 0.15
 
 
-def _corpus() -> list[tuple[str, str]]:
-    programs = [
-        (pid, source)
-        for pid, source in builtin_sources()
-        if pid in ("paper", "livermore", "simple", "shellsort", "gauss")
-    ]
-    programs += [
-        (f"gen-{seed}", ProgramGenerator(seed).source())
-        for seed in range(N_GENERATED)
-    ]
-    return programs
-
-
-def _time(fn) -> float:
-    best = float("inf")
-    for _ in range(REPEATS):
-        started = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - started)
-    return best
+def _compile_and_plan(source: str) -> None:
+    program = compile_source(source)
+    smart_program_plan(program)
+    naive_program_plan(program)
 
 
 def test_checker_overhead():
     rows = []
-    total_compile = total_verify = total_lint = 0.0
-    for program_id, source in _corpus():
-        compile_s = _time(
-            lambda: (
-                lambda p: (smart_program_plan(p), naive_program_plan(p))
-            )(compile_source(source))
-        )
+    layers = {}
+    totals = dict.fromkeys(("compile", "checker.verify", "checker.lint"), 0.0)
+    for program_id, source in front_end_corpus():
         program = compile_source(source)
         plans = {
             "smart": smart_program_plan(program),
             "naive": naive_program_plan(program),
         }
-        verify_s = _time(lambda: verify_program(program, plans))
-        lint_s = _time(lambda: lint_program(program.checked, program.cfgs))
         assert not verify_program(program, plans).diagnostics
-
-        total_compile += compile_s
-        total_verify += verify_s
-        total_lint += lint_s
+        legs = interleaved(
+            {
+                "compile": lambda _i: _compile_and_plan(source),
+                "checker.verify": lambda _i: verify_program(program, plans),
+                "checker.lint": (
+                    lambda _i: lint_program(program.checked, program.cfgs)
+                ),
+            },
+            trials=REPEATS,
+        )
+        for stage, measurement in legs.items():
+            totals[stage] += measurement.mean_ns
+            layers[f"{stage}.{program_id}"] = measurement
+        ratio = legs["checker.verify"].mean_ns / legs["compile"].mean_ns
         rows.append(
-            [
-                program_id,
-                f"{1e3 * compile_s:.2f}",
-                f"{1e3 * verify_s:.2f}",
-                f"{1e3 * lint_s:.2f}",
-                f"{100 * verify_s / compile_s:.1f}%",
-            ]
+            [program_id, *map(ms, legs.values()), f"{100 * ratio:.1f}%"]
         )
 
-    overhead = total_verify / total_compile
+    overhead = totals["checker.verify"] / totals["compile"]
     rows.append(
-        [
-            "TOTAL",
-            f"{1e3 * total_compile:.2f}",
-            f"{1e3 * total_verify:.2f}",
-            f"{1e3 * total_lint:.2f}",
-            f"{100 * overhead:.1f}%",
-        ]
+        ["TOTAL", *(f"{t / 1e6:.2f}" for t in totals.values()),
+         f"{100 * overhead:.1f}%"]
     )
     publish(
         "checker_overhead",
@@ -104,11 +78,19 @@ def test_checker_overhead():
             rows,
             title=(
                 "artifact verification overhead "
-                f"(best of {REPEATS}, ceiling {100 * _OVERHEAD_CEILING:.0f}%)"
+                f"(mean ± 95% CI of {REPEATS} interleaved trials, "
+                f"ceiling {100 * _OVERHEAD_CEILING:.0f}%)"
             ),
         ),
     )
-    assert overhead < _OVERHEAD_CEILING, (
-        f"verification costs {100 * overhead:.1f}% of compile time "
-        f"(ceiling {100 * _OVERHEAD_CEILING:.0f}%)"
+    enforce(
+        record(
+            "checker",
+            end_to_end={
+                "checker.verify_over_compile": gate(
+                    overhead, _OVERHEAD_CEILING, "lower"
+                )
+            },
+            layers=layers,
+        )
     )

@@ -14,8 +14,6 @@ smaller chunks as variance grows.
 
 from __future__ import annotations
 
-import pytest
-
 from repro import SCALAR_MACHINE, analyze, compile_source, profile_program
 from repro.apps.chunking import (
     estimate_makespan,
@@ -88,18 +86,12 @@ def _sweep(n_iter, mean, std):
     return out
 
 
-def test_chunk_size_sweep(benchmark):
-    def run_all():
-        results = {}
-        for name, source in [("STEADY", STEADY), ("BURSTY", BURSTY)]:
-            n_iter, mean, std = _loop_stats(source)
-            advised = optimal_chunk_size(
-                n_iter, PROCESSORS, mean, std, OVERHEAD
-            )
-            results[name] = (n_iter, mean, std, advised, _sweep(n_iter, mean, std))
-        return results
-
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def test_chunk_size_sweep():
+    results = {}
+    for name, source in [("STEADY", STEADY), ("BURSTY", BURSTY)]:
+        n_iter, mean, std = _loop_stats(source)
+        advised = optimal_chunk_size(n_iter, PROCESSORS, mean, std, OVERHEAD)
+        results[name] = (n_iter, mean, std, advised, _sweep(n_iter, mean, std))
 
     rows = []
     for name, (n_iter, mean, std, advised, sweep) in results.items():

@@ -21,37 +21,30 @@ microbenchmarks, not throughput workloads):
 
 from __future__ import annotations
 
-import json
 import os
-import time
 
 from repro import SCALAR_MACHINE, compile_source, smart_program_plan
-from repro.pipeline import run_program
 from repro.profiling import PlanExecutor
 from repro.report import format_table
 from repro.workloads.generators import ProgramGenerator
 
-from conftest import RESULTS_DIR, publish
+from conftest import (
+    BACKENDS,
+    GATED_WORKLOADS,
+    enforce,
+    gate,
+    ms,
+    publish,
+    record,
+    time_cell,
+)
 
 REPS = 5
-
-#: Iterate tiny workloads inside one timing sample so a 61-step
-#: program is not measured against clock granularity and noise.
-TARGET_STEPS_PER_SAMPLE = 40_000
 
 #: The generator-corpus composite: these programs run back to back
 #: inside one timing sample, like a batch-engine sweep would.
 N_GENERATORS = 20
 GEN_MAX_STEPS = 300_000
-
-BACKENDS = ("reference", "codegen")
-
-#: The speedup claim is over the Livermore/generator corpus; the
-#: tiny `paper` fixture (61 steps per run, structured like every
-#: procedure) and `simple` ride along for visibility but measure
-#: per-run latency more than execution throughput, so they are not
-#: gated.
-GATED_WORKLOADS = frozenset({"livermore", "generators"})
 
 #: (mode name, costed, profiled) — plain interpretation, cost
 #: accounting, and full §3 counter profiling with the smart plan.
@@ -76,148 +69,96 @@ def _comparable(result):
     )
 
 
-def _time_cell(items, backend, *, costed, profiled):
-    """Best-of-REPS total wall time for one (workload, mode) cell.
+def _time_cell(items, *, costed, profiled):
+    """Time one (workload, mode) cell on both backends, interleaved.
 
-    ``items`` is a list of ``(program, plan, run_kwargs)``; every
-    program in the cell runs back to back each iteration.  Returns
-    ``(seconds, steps, observations)`` where ``observations`` pins the
-    full comparable state (results + final counter arrays) so a
-    speedup only counts when the answers are identical.
+    Returns ``(measurements, steps)``.  The full comparable state
+    (results + final counter arrays) of both backends must be
+    identical: a speedup only counts when the answers are.
     """
     model = SCALAR_MACHINE if costed else None
-    plans = [plan if profiled else None for _program, plan, _kw in items]
-    # One iteration executes the whole cell back to back (a composite
-    # cell behaves like one batch sweep, not N independent loops), and
-    # the iteration count amortizes clock granularity for small cells.
-    cell_steps = sum(
-        run_program(program, backend=backend, **kwargs).steps
-        for program, _plan, kwargs in items
+    plans = [smart_program_plan(p) if profiled else None for p, _ in items]
+
+    def new_hooks():
+        return [PlanExecutor(p) if p is not None else None for p in plans]
+
+    cell, last, steps = time_cell(
+        items,
+        {b: (new_hooks, {"model": model, "backend": b}) for b in BACKENDS},
+        trials=REPS,
     )
-    count = max(1, TARGET_STEPS_PER_SAMPLE // max(1, cell_steps))
-    iterations = [count] * len(items)
-    best = float("inf")
-    observations = None
-    steps = 0
-    for _ in range(REPS):
-        hooks = [
-            PlanExecutor(plan) if plan is not None else None
-            for plan in plans
-        ]
-        results = [None] * len(items)
-        start = time.perf_counter()
-        for index, (program, _plan, kwargs) in enumerate(items):
-            for _ in range(iterations[index]):
-                results[index] = run_program(
-                    program,
-                    hooks=hooks[index],
-                    model=model,
-                    backend=backend,
-                    **kwargs,
-                )
-        elapsed = time.perf_counter() - start
-        if elapsed < best:
-            best = elapsed
-            steps = sum(
-                result.steps * n for result, n in zip(results, iterations)
+    observed = {
+        backend: [
+            (
+                _comparable(result),
+                executor.counters if executor is not None else None,
+                executor.updates if executor is not None else None,
             )
-            observations = [
-                (
-                    _comparable(result),
-                    executor.counters if executor is not None else None,
-                    executor.updates if executor is not None else None,
-                )
-                for result, executor in zip(results, hooks)
-            ]
-    return best, steps, observations
+            for result, executor in zip(*last[backend])
+        ]
+        for backend in BACKENDS
+    }
+    assert observed["codegen"] == observed["reference"]
+    return cell, steps
 
 
 def test_codegen_speedup(paper_program, loops_program, simple_program):
-    gate = float(os.environ.get("REPRO_CODEGEN_GATE", "10.0"))
-
-    def suite(program, **kwargs):
-        return [(program, smart_program_plan(program), kwargs)]
+    limit = float(os.environ.get("REPRO_CODEGEN_GATE", "10.0"))
 
     generators = [
         compile_source(ProgramGenerator(seed).source())
         for seed in range(N_GENERATORS)
     ]
     workloads = {
-        "paper": suite(paper_program),
-        "livermore": suite(loops_program),
-        "simple": suite(simple_program),
+        "paper": [(paper_program, {})],
+        "livermore": [(loops_program, {})],
+        "simple": [(simple_program, {})],
         "generators": [
-            (
-                program,
-                smart_program_plan(program),
-                {"seed": 7919 * (seed + 1), "max_steps": GEN_MAX_STEPS},
-            )
+            (program, {"seed": 7919 * (seed + 1), "max_steps": GEN_MAX_STEPS})
             for seed, program in enumerate(generators)
         ],
     }
 
     rows = []
-    records = {}
+    layers = {}
     totals = {backend: 0.0 for backend in BACKENDS}
     gated_totals = {backend: 0.0 for backend in BACKENDS}
     for name, items in workloads.items():
-        record = {}
         for mode, costed, profiled in MODES:
-            times = {}
-            observed = {}
-            for backend in BACKENDS:
-                times[backend], steps, observed[backend] = _time_cell(
-                    items, backend, costed=costed, profiled=profiled
-                )
-                totals[backend] += times[backend]
+            cell, steps = _time_cell(items, costed=costed, profiled=profiled)
+            for backend, measurement in cell.items():
+                layers[f"exec.{backend}.{name}.{mode}"] = measurement
+                totals[backend] += measurement.mean_ns
                 if name in GATED_WORKLOADS:
-                    gated_totals[backend] += times[backend]
-            # The speedup only counts if the answers are identical.
-            assert observed["codegen"] == observed["reference"], (
-                name, mode,
-            )
-            speedup = times["reference"] / times["codegen"]
-            record[mode] = {
-                "reference_seconds": times["reference"],
-                "codegen_seconds": times["codegen"],
-                "speedup_vs_reference": speedup,
-                "steps": steps,
-                "codegen_steps_per_second": steps / times["codegen"],
-            }
+                    gated_totals[backend] += measurement.mean_ns
+            speedup = cell["reference"].mean_ns / cell["codegen"].mean_ns
             rows.append(
                 [
                     name,
                     mode,
                     steps,
-                    f"{times['reference'] * 1e3:.1f}",
-                    f"{times['codegen'] * 1e3:.1f}",
+                    ms(cell["reference"]),
+                    ms(cell["codegen"]),
                     f"{speedup:.2f}x",
                 ]
             )
-        records[name] = record
 
     aggregate = gated_totals["reference"] / gated_totals["codegen"]
     all_aggregate = totals["reference"] / totals["codegen"]
-    rows.append(
-        [
-            "corpus (gated)",
-            "all",
-            "",
-            f"{gated_totals['reference'] * 1e3:.1f}",
-            f"{gated_totals['codegen'] * 1e3:.1f}",
-            f"{aggregate:.2f}x",
-        ]
-    )
-    rows.append(
-        [
-            "everything",
-            "all",
-            "",
-            f"{totals['reference'] * 1e3:.1f}",
-            f"{totals['codegen'] * 1e3:.1f}",
-            f"{all_aggregate:.2f}x",
-        ]
-    )
+    for label, sums, ratio in (
+        ("corpus (gated)", gated_totals, aggregate),
+        ("everything", totals, all_aggregate),
+    ):
+        rows.append(
+            [
+                label,
+                "all",
+                "",
+                f"{sums['reference'] / 1e6:.1f}",
+                f"{sums['codegen'] / 1e6:.1f}",
+                f"{ratio:.2f}x",
+            ]
+        )
     table = format_table(
         [
             "workload",
@@ -228,26 +169,21 @@ def test_codegen_speedup(paper_program, loops_program, simple_program):
             "vs reference",
         ],
         rows,
-        title=f"codegen backend vs reference (best of {REPS}, scalar model)",
+        title=(
+            f"codegen backend vs reference (mean ± 95% CI of {REPS} "
+            "interleaved trials, scalar model)"
+        ),
     )
     publish("codegen_speedup", table)
-
-    payload = {
-        "benchmark": "bench_codegen_speedup",
-        "reps": REPS,
-        "model": "scalar",
-        "generators": N_GENERATORS,
-        "gated_workloads": sorted(GATED_WORKLOADS),
-        "gate_vs_reference": gate,
-        "aggregate_speedup_vs_reference": aggregate,
-        "all_workloads_speedup_vs_reference": all_aggregate,
-        "workloads": records,
-    }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_codegen.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    )
-    assert aggregate >= gate, (
-        f"codegen aggregate speedup {aggregate:.2f}x below the "
-        f"{gate:.1f}x gate vs reference"
+    enforce(
+        record(
+            "codegen",
+            end_to_end={
+                "codegen.speedup_vs_reference": gate(
+                    aggregate, limit, "higher"
+                )
+            },
+            layers=layers,
+            backend=",".join(BACKENDS),
+        )
     )

@@ -12,67 +12,37 @@ ladder, and the full smart plan beats naive on both metrics.
 
 from __future__ import annotations
 
-import pytest
-
-from repro import (
-    compile_source,
-    naive_program_plan,
-    run_program,
-    smart_program_plan,
-)
-from repro.profiling import PlanExecutor
+from repro import compile_source
 from repro.report import format_table
 from repro.workloads.unstructured import STATE_MACHINE, TWO_EXIT_LOOP
 
-from conftest import publish
-
-LADDER = [
-    ("naive", None),
-    ("opt1", {"enable_drops": False, "enable_do_batch": False}),
-    ("opt1+2", {"enable_drops": True, "enable_do_batch": False}),
-    ("opt1+2+3", {"enable_drops": True, "enable_do_batch": True}),
-]
+from conftest import ladder_counts, publish
 
 
-def _plan_for(program, level_kwargs):
-    if level_kwargs is None:
-        return naive_program_plan(program)
-    return smart_program_plan(program, **level_kwargs)
-
-
-def _measure_ladder(workloads):
-    rows = []
-    per_workload = {}
-    for name, program, run_kwargs in workloads:
-        stats = []
-        for level, kwargs in LADDER:
-            plan = _plan_for(program, kwargs)
-            executor = PlanExecutor(plan)
-            run_program(program, hooks=executor, **run_kwargs)
-            stats.append((level, plan.n_counters, executor.updates))
-            rows.append([name, level, plan.n_counters, executor.updates])
-        per_workload[name] = stats
-    return rows, per_workload
-
-
-def test_counter_ablation(benchmark, loops_program, simple_program):
+def test_counter_ablation(loops_program, simple_program):
     workloads = [
         ("LOOPS", loops_program, {}),
         ("SIMPLE", simple_program, {}),
         ("TWO_EXIT", compile_source(TWO_EXIT_LOOP), {"seed": 1}),
         ("STATE_MACHINE", compile_source(STATE_MACHINE), {"seed": 1}),
     ]
-    rows, per_workload = benchmark(_measure_ladder, workloads)
+    per_workload = {
+        name: ladder_counts(program, **run_kwargs)
+        for name, program, run_kwargs in workloads
+    }
     publish(
         "counter_ablation",
         format_table(
             ["workload", "plan", "counters", "dynamic updates"],
-            rows,
+            [
+                [name, level, counters, updates]
+                for name, levels in per_workload.items()
+                for level, (counters, updates) in levels.items()
+            ],
             title="Counter-placement ablation (Section 3 optimizations)",
         ),
     )
-    for name, stats in per_workload.items():
-        levels = {level: (c, u) for level, c, u in stats}
+    for name, levels in per_workload.items():
         # Opt 1 alone already beats naive on counters for loopy code;
         # each further optimization must not regress either metric.
         assert levels["opt1+2"][0] <= levels["opt1"][0], name
@@ -84,19 +54,10 @@ def test_counter_ablation(benchmark, loops_program, simple_program):
         assert levels["opt1+2+3"][1] <= levels["naive"][1], name
 
 
-def test_do_batching_dominates_on_loops(benchmark, loops_program):
+def test_do_batching_dominates_on_loops(loops_program):
     """Opt 3 is the big win on DO-loop-dominated code (LOOPS)."""
-
-    def measure():
-        no_batch = PlanExecutor(
-            smart_program_plan(loops_program, enable_do_batch=False)
-        )
-        run_program(loops_program, hooks=no_batch)
-        batch = PlanExecutor(smart_program_plan(loops_program))
-        run_program(loops_program, hooks=batch)
-        return no_batch.updates, batch.updates
-
-    without, with_batch = benchmark(measure)
+    levels = ladder_counts(loops_program)
+    without, with_batch = levels["opt1+2"][1], levels["opt1+2+3"][1]
     assert with_batch < without / 2, (
         f"DO batching should halve updates on LOOPS: {without} -> {with_batch}"
     )

@@ -15,63 +15,26 @@ slice of generator programs:
   every procedure, including the interprocedural ``param_summaries``
   pass.
 
-Acceptance: the dataflow sweep costs < 20 % of compile time, averaged
-over the corpus.  Besides the usual results table this benchmark
-emits ``benchmarks/results/BENCH_dataflow.json`` with the per-program
-timings for CI trending.
+Acceptance: the dataflow sweep costs < 20 % of compile time, summed
+over the corpus (ratio of the summed leg means).  Besides the usual
+results table this benchmark emits
+``benchmarks/results/BENCH_dataflow.json`` with every per-program leg
+as a layer, for CI trending.
 """
 
 from __future__ import annotations
-
-import json
-import time
-from pathlib import Path
 
 from repro import compile_source, naive_program_plan, smart_program_plan
 from repro.codegen import codegen_backend_for
 from repro.dataflow import analyze_procedure, param_summaries
 from repro.report import format_table
-from repro.workloads import builtin_sources
-from repro.workloads.generators import ProgramGenerator
 
-from conftest import RESULTS_DIR, publish
+from conftest import (
+    enforce, front_end_corpus, gate, interleaved, ms, publish, record,
+)
 
-N_GENERATED = 12
 REPEATS = 7
 _OVERHEAD_CEILING = 0.20
-
-
-def _corpus() -> list[tuple[str, str]]:
-    programs = [
-        (pid, source)
-        for pid, source in builtin_sources()
-        if pid in ("paper", "livermore", "simple", "shellsort", "gauss")
-    ]
-    programs += [
-        (f"gen-{seed}", ProgramGenerator(seed).source())
-        for seed in range(N_GENERATED)
-    ]
-    return programs
-
-
-def _time_pair(fn_a, fn_b) -> tuple[float, float]:
-    """Best-of-REPEATS for two thunks, interleaved A/B each round.
-
-    Interleaving means a slow scheduling window hits both legs alike
-    instead of skewing whichever leg happened to run through it, so
-    the *ratio* of the two minima is much more stable than timing the
-    legs back to back.
-    """
-    best_a = best_b = float("inf")
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        fn_a()
-        t1 = time.perf_counter()
-        fn_b()
-        t2 = time.perf_counter()
-        best_a = min(best_a, t1 - t0)
-        best_b = min(best_b, t2 - t1)
-    return best_a, best_b
 
 
 def _compile_and_lower(source: str) -> None:
@@ -91,44 +54,30 @@ def _dataflow_sweep(program) -> None:
 
 def test_dataflow_overhead():
     rows = []
-    records = []
-    total_compile = total_dataflow = 0.0
-    for program_id, source in _corpus():
+    layers = {}
+    totals = dict.fromkeys(("compile", "dataflow"), 0.0)
+    for program_id, source in front_end_corpus():
         program = compile_source(source)
-        compile_s, dataflow_s = _time_pair(
-            lambda: _compile_and_lower(source),
-            lambda: _dataflow_sweep(program),
-        )
-
-        total_compile += compile_s
-        total_dataflow += dataflow_s
-        records.append(
+        legs = interleaved(
             {
-                "program": program_id,
-                "procedures": len(program.cfgs),
-                "compile_s": compile_s,
-                "dataflow_s": dataflow_s,
-            }
+                "compile": lambda _i: _compile_and_lower(source),
+                "dataflow": lambda _i: _dataflow_sweep(program),
+            },
+            trials=REPEATS,
         )
+        for stage, measurement in legs.items():
+            totals[stage] += measurement.mean_ns
+            layers[f"{stage}.{program_id}"] = measurement
+        ratio = legs["dataflow"].mean_ns / legs["compile"].mean_ns
         rows.append(
-            [
-                program_id,
-                str(len(program.cfgs)),
-                f"{1e3 * compile_s:.2f}",
-                f"{1e3 * dataflow_s:.2f}",
-                f"{100 * dataflow_s / compile_s:.1f}%",
-            ]
+            [program_id, len(program.cfgs), *map(ms, legs.values()),
+             f"{100 * ratio:.1f}%"]
         )
 
-    overhead = total_dataflow / total_compile
+    overhead = totals["dataflow"] / totals["compile"]
     rows.append(
-        [
-            "TOTAL",
-            "",
-            f"{1e3 * total_compile:.2f}",
-            f"{1e3 * total_dataflow:.2f}",
-            f"{100 * overhead:.1f}%",
-        ]
+        ["TOTAL", "", *(f"{t / 1e6:.2f}" for t in totals.values()),
+         f"{100 * overhead:.1f}%"]
     )
     publish(
         "dataflow_overhead",
@@ -138,25 +87,19 @@ def test_dataflow_overhead():
             rows,
             title=(
                 "dataflow solver overhead "
-                f"(best of {REPEATS}, ceiling {100 * _OVERHEAD_CEILING:.0f}%)"
+                f"(mean ± 95% CI of {REPEATS} interleaved trials, "
+                f"ceiling {100 * _OVERHEAD_CEILING:.0f}%)"
             ),
         ),
     )
-    RESULTS_DIR.mkdir(exist_ok=True)
-    artifact = Path(RESULTS_DIR) / "BENCH_dataflow.json"
-    artifact.write_text(
-        json.dumps(
-            {
-                "ceiling": _OVERHEAD_CEILING,
-                "overhead": overhead,
-                "repeats": REPEATS,
-                "programs": records,
+    enforce(
+        record(
+            "dataflow",
+            end_to_end={
+                "dataflow.over_compile": gate(
+                    overhead, _OVERHEAD_CEILING, "lower"
+                )
             },
-            indent=2,
+            layers=layers,
         )
-        + "\n"
-    )
-    assert overhead < _OVERHEAD_CEILING, (
-        f"dataflow analyses cost {100 * overhead:.1f}% of compile time "
-        f"(ceiling {100 * _OVERHEAD_CEILING:.0f}%)"
     )

@@ -3,8 +3,7 @@
 Regenerates the three figures as text (CFG, ECFG, annotated FCDG) and
 asserts the paper's exact numbers: TIME(START) = 920 and
 STD_DEV(START) = 300, with all the intermediate FREQ/TIME/VAR values
-of Figure 3.  The benchmark measures the full compile-profile-analyze
-pipeline latency.
+of Figure 3.
 """
 
 from __future__ import annotations
@@ -24,17 +23,12 @@ from repro.workloads.paper_example import (
 from conftest import publish
 
 
-def _pipeline():
+def test_figures_1_2_3():
     program = compile_source(PAPER_SOURCE)
     profile = oracle_program_profile(program, runs=[{}])
     analysis = analyze(
         program, profile, model=None, estimator=FigureCostEstimator()
     )
-    return program, analysis
-
-
-def test_figures_1_2_3(benchmark):
-    program, analysis = benchmark(_pipeline)
 
     figure1 = render_cfg(program.cfgs["MAIN"], title="Figure 1: CFG of MAIN")
     figure2 = render_cfg(

@@ -15,7 +15,7 @@ codegen).
 Emits a human table plus machine-readable
 ``benchmarks/results/BENCH_paths.json``.
 
-Gate: ``REPRO_PATHS_GATE`` (default 1.5) — on the codegen backend,
+Gate: ``PATHS_GATE`` (1.5) — on the codegen backend,
 aggregate path-profiled wall time must stay within that factor of
 aggregate counter-profiled (smart plan) wall time across the gated
 cells.  The fused lowering makes path mode a handful of ``r += k`` /
@@ -25,52 +25,37 @@ to counter mode, not multiples of it.
 
 from __future__ import annotations
 
-import json
-import os
-import time
-
 from repro import (
-    SCALAR_MACHINE,
-    compile_source,
-    naive_program_plan,
-    run_program,
-    smart_program_plan,
+    SCALAR_MACHINE, compile_source, run_program, smart_program_plan,
 )
 from repro.paths import PathExecutor, path_program_plan
 from repro.profiling import PlanExecutor
 from repro.report import format_table
 from repro.workloads.generators import ProgramGenerator
 
-from conftest import RESULTS_DIR, publish
+from conftest import (
+    BACKENDS,
+    GATED_WORKLOADS,
+    LADDER,
+    enforce,
+    gate,
+    ladder_counts,
+    ms,
+    publish,
+    record,
+    time_cell,
+)
 
 REPS = 5
-
-#: Iterate tiny workloads inside one timing sample so a 61-step
-#: program is not measured against clock granularity and noise.
-TARGET_STEPS_PER_SAMPLE = 40_000
 
 N_GENERATORS = 15
 GEN_MAX_STEPS = 300_000
 
-BACKENDS = ("reference", "codegen")
+#: Codegen path-mode wall time may be at most this factor of
+#: counter-mode (smart plan) wall time over the gated cells.
+PATHS_GATE = 1.5
 
-#: The gate covers the throughput workloads; the 61-step `paper`
-#: fixture is reported but measures per-run latency.
-GATED_WORKLOADS = frozenset({"livermore", "generators"})
-
-#: The Section 3 ladder path registers are judged against.
-LADDER = (
-    ("naive", None),
-    ("opt1", {"enable_drops": False, "enable_do_batch": False}),
-    ("opt1+2", {"enable_drops": True, "enable_do_batch": False}),
-    ("opt1+2+3", {"enable_drops": True, "enable_do_batch": True}),
-)
-
-
-def _counter_plan(program, level_kwargs):
-    if level_kwargs is None:
-        return naive_program_plan(program)
-    return smart_program_plan(program, **level_kwargs)
+MODES = ("counters", "paths")
 
 
 def _ladder_updates(items):
@@ -80,17 +65,12 @@ def _ladder_updates(items):
     whole composite.  Also returns the static site counts (counters
     placed vs path-register update sites emitted).
     """
-    updates = {level: 0 for level, _ in LADDER}
-    updates["paths"] = 0
-    sites = {level: 0 for level, _ in LADDER}
-    sites["paths"] = 0
+    updates = dict.fromkeys([level for level, _ in LADDER] + ["paths"], 0)
+    sites = dict(updates)
     for program, kwargs in items:
-        for level, level_kwargs in LADDER:
-            plan = _counter_plan(program, level_kwargs)
-            executor = PlanExecutor(plan)
-            run_program(program, hooks=executor, **kwargs)
-            updates[level] += executor.updates
-            sites[level] += plan.n_counters
+        for level, (counters, n) in ladder_counts(program, **kwargs).items():
+            updates[level] += n
+            sites[level] += counters
         path_plan = path_program_plan(program)
         path_executor = PathExecutor(path_plan)
         run_program(program, hooks=path_executor, **kwargs)
@@ -100,47 +80,30 @@ def _ladder_updates(items):
     return updates, sites
 
 
-def _time_cell(items, backend, mode):
-    """Best-of-REPS total wall time for one (workload, backend, mode).
-
-    One iteration runs the whole composite back to back; tiny cells
-    iterate enough times to amortize clock granularity.
-    """
-    plans = [
-        path_program_plan(program)
-        if mode == "paths"
-        else smart_program_plan(program)
-        for program, _kwargs in items
-    ]
-    cell_steps = sum(
-        run_program(program, backend=backend, **kwargs).steps
-        for program, kwargs in items
+def _time_cell(items):
+    """Time one workload on every (backend, mode) leg, interleaved."""
+    counter_plans = [smart_program_plan(program) for program, _ in items]
+    path_plans = [path_program_plan(program) for program, _ in items]
+    new_hooks = {
+        "counters": lambda: [PlanExecutor(plan) for plan in counter_plans],
+        "paths": lambda: [PathExecutor(plan) for plan in path_plans],
+    }
+    cell, _last, _steps = time_cell(
+        items,
+        {
+            f"{backend}.{mode}": (
+                new_hooks[mode],
+                {"model": SCALAR_MACHINE, "backend": backend},
+            )
+            for backend in BACKENDS
+            for mode in MODES
+        },
+        trials=REPS,
     )
-    count = max(1, TARGET_STEPS_PER_SAMPLE // max(1, cell_steps))
-    best = float("inf")
-    for _ in range(REPS):
-        hooks = [
-            PathExecutor(plan) if mode == "paths" else PlanExecutor(plan)
-            for plan in plans
-        ]
-        start = time.perf_counter()
-        for index, (program, kwargs) in enumerate(items):
-            for _ in range(count):
-                run_program(
-                    program,
-                    hooks=hooks[index],
-                    model=SCALAR_MACHINE,
-                    backend=backend,
-                    **kwargs,
-                )
-        elapsed = time.perf_counter() - start
-        best = min(best, elapsed)
-    return best
+    return cell
 
 
 def test_path_profiling_cost(paper_program, loops_program):
-    gate = float(os.environ.get("REPRO_PATHS_GATE", "1.5"))
-
     generators = [
         (
             compile_source(ProgramGenerator(seed).source()),
@@ -156,45 +119,36 @@ def test_path_profiling_cost(paper_program, loops_program):
 
     update_rows = []
     wall_rows = []
-    records = {}
-    gated = {"counters": 0.0, "paths": 0.0}
+    ladder = {}
+    layers = {}
+    gated = {mode: 0.0 for mode in MODES}
     for name, items in workloads.items():
         updates, sites = _ladder_updates(items)
+        ladder[name] = updates
         update_rows.append(
             [name]
             + [updates[level] for level, _ in LADDER]
             + [updates["paths"]]
             + [sites["opt1+2+3"], sites["paths"]]
         )
-        seconds = {
-            mode: {
-                backend: _time_cell(items, backend, mode)
-                for backend in BACKENDS
-            }
-            for mode in ("counters", "paths")
-        }
-        overhead = {
-            backend: seconds["paths"][backend] / seconds["counters"][backend]
-            for backend in BACKENDS
-        }
+        cell = _time_cell(items)
+        for leg, measurement in cell.items():
+            layers[f"exec.{leg}.{name}"] = measurement
         if name in GATED_WORKLOADS:
-            for mode in ("counters", "paths"):
-                gated[mode] += seconds[mode]["codegen"]
+            for mode in MODES:
+                gated[mode] += cell[f"codegen.{mode}"].mean_ns
+        overhead = (
+            cell["codegen.paths"].mean_ns / cell["codegen.counters"].mean_ns
+        )
         wall_rows.append(
             [name]
             + [
-                f"{seconds[mode][backend] * 1e3:.1f}"
+                ms(cell[f"{backend}.{mode}"])
                 for backend in BACKENDS
-                for mode in ("counters", "paths")
+                for mode in MODES
             ]
-            + [f"{overhead['codegen']:.2f}x"]
+            + [f"{overhead:.2f}x"]
         )
-        records[name] = {
-            "updates": dict(updates),
-            "static_sites": dict(sites),
-            "seconds": seconds,
-            "paths_vs_counters_overhead": overhead,
-        }
 
     aggregate = gated["paths"] / gated["counters"]
     update_table = format_table(
@@ -209,31 +163,15 @@ def test_path_profiling_cost(paper_program, loops_program):
         + [
             f"{backend[:4]} {mode[:4]} ms"
             for backend in BACKENDS
-            for mode in ("counters", "paths")
+            for mode in MODES
         ]
         + ["codegen ovh"],
         wall_rows,
         title=f"wall-clock per backend, counter vs path mode "
-        f"(best of {REPS}, scalar model); "
-        f"gated codegen aggregate {aggregate:.2f}x (gate {gate:.1f}x)",
+        f"(mean ± 95% CI of {REPS} interleaved trials, scalar model); "
+        f"gated codegen aggregate {aggregate:.2f}x (gate {PATHS_GATE:.1f}x)",
     )
     publish("path_profiling_cost", update_table + "\n\n" + wall_table)
-
-    payload = {
-        "benchmark": "bench_path_profiling_cost",
-        "reps": REPS,
-        "model": "scalar",
-        "generators": N_GENERATORS,
-        "ladder": [level for level, _ in LADDER] + ["paths"],
-        "gated_workloads": sorted(GATED_WORKLOADS),
-        "gate": gate,
-        "codegen_paths_vs_counters_aggregate": aggregate,
-        "workloads": records,
-    }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_paths.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    )
 
     # Shape: the fully optimized counter plan stays the cheapest way
     # to measure Definition 3 — path registers pay extra updates for
@@ -243,11 +181,18 @@ def test_path_profiling_cost(paper_program, loops_program):
     # edge adds a two-update flush, so it must track that ladder rung
     # closely rather than the per-block naive plan (which DO-dominated
     # code makes artificially cheap: one bump covers a whole block).
-    for name in workloads:
-        updates = records[name]["updates"]
+    for name, updates in ladder.items():
         assert updates["opt1+2+3"] <= updates["paths"], (name, updates)
         assert updates["paths"] <= 1.1 * updates["opt1"], (name, updates)
-    assert aggregate <= gate, (
-        f"codegen path-mode aggregate overhead {aggregate:.2f}x above "
-        f"the {gate:.1f}x gate vs counter mode"
+    enforce(
+        record(
+            "paths",
+            end_to_end={
+                "paths.codegen_paths_over_counters": gate(
+                    aggregate, PATHS_GATE, "lower"
+                )
+            },
+            layers=layers,
+            backend=",".join(BACKENDS),
+        )
     )

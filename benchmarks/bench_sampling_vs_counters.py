@@ -14,8 +14,6 @@ benchmark quantifies both halves on the LOOPS program:
 
 from __future__ import annotations
 
-import pytest
-
 from repro import SCALAR_MACHINE, run_program, smart_program_plan
 from repro.costs.estimate import CostEstimator
 from repro.profiling import PlanExecutor, reconstruct_profile
@@ -60,59 +58,53 @@ def _frequency_error(sampler, run_result):
     return sum(errors) / len(errors)
 
 
-def test_sampling_vs_counters(benchmark, loops_program):
-    def run_all():
-        costs = _cost_tables(loops_program)
-        truth_run = run_program(loops_program, model=SCALAR_MACHINE)
-        truth_shares = true_procedure_shares(truth_run, costs)
+def test_sampling_vs_counters(loops_program):
+    costs = _cost_tables(loops_program)
+    truth_run = run_program(loops_program, model=SCALAR_MACHINE)
+    truth_shares = true_procedure_shares(truth_run, costs)
 
-        rows = []
-        share_errors = {}
-        freq_errors = {}
-        for interval in INTERVALS:
-            sampler = SamplingProfiler(
-                loops_program.checked,
-                loops_program.cfgs,
-                SCALAR_MACHINE,
-                interval,
-            )
-            run_program(loops_program, model=SCALAR_MACHINE, hooks=sampler)
-            share_errors[interval] = _share_error(
-                sampler.procedure_shares(), truth_shares
-            )
-            freq_errors[interval] = _frequency_error(sampler, truth_run)
-            rows.append(
-                [
-                    f"sampling @{interval:g}",
-                    sampler.report.total_samples,
-                    f"{100 * share_errors[interval]:.2f}%",
-                    f"{100 * freq_errors[interval]:.1f}%",
-                ]
-            )
-
-        plan = smart_program_plan(loops_program)
-        executor = PlanExecutor(plan)
-        run_program(loops_program, model=SCALAR_MACHINE, hooks=executor)
-        reconstructed = reconstruct_profile(plan, executor)
-        # Counter frequencies are exact: verify against ground truth.
-        exact = all(
-            reconstructed.proc(name).branch_counts.get(key, 0.0)
-            == float(truth_run.edge_counts[name].get(key, 0))
-            for name, proc_plan in plan.plans.items()
-            for key in proc_plan.edge_counters
+    rows = []
+    share_errors = {}
+    freq_errors = {}
+    for interval in INTERVALS:
+        sampler = SamplingProfiler(
+            loops_program.checked,
+            loops_program.cfgs,
+            SCALAR_MACHINE,
+            interval,
         )
+        run_program(loops_program, model=SCALAR_MACHINE, hooks=sampler)
+        share_errors[interval] = _share_error(
+            sampler.procedure_shares(), truth_shares
+        )
+        freq_errors[interval] = _frequency_error(sampler, truth_run)
         rows.append(
             [
-                "smart counters",
-                executor.updates,
-                "0.00%",
-                "0.0% (exact)" if exact else "NOT EXACT",
+                f"sampling @{interval:g}",
+                sampler.report.total_samples,
+                f"{100 * share_errors[interval]:.2f}%",
+                f"{100 * freq_errors[interval]:.1f}%",
             ]
         )
-        return rows, share_errors, freq_errors, exact
 
-    rows, share_errors, freq_errors, exact = benchmark.pedantic(
-        run_all, rounds=1, iterations=1
+    plan = smart_program_plan(loops_program)
+    executor = PlanExecutor(plan)
+    run_program(loops_program, model=SCALAR_MACHINE, hooks=executor)
+    reconstructed = reconstruct_profile(plan, executor)
+    # Counter frequencies are exact: verify against ground truth.
+    exact = all(
+        reconstructed.proc(name).branch_counts.get(key, 0.0)
+        == float(truth_run.edge_counts[name].get(key, 0))
+        for name, proc_plan in plan.plans.items()
+        for key in proc_plan.edge_counters
+    )
+    rows.append(
+        [
+            "smart counters",
+            executor.updates,
+            "0.00%",
+            "0.0% (exact)" if exact else "NOT EXACT",
+        ]
     )
     publish(
         "sampling_vs_counters",

@@ -10,21 +10,20 @@ noise and the small super-linear pieces: postdominators, closures).
 
 from __future__ import annotations
 
-import time
-
-import pytest
-
 from repro import SCALAR_MACHINE, compile_source, oracle_program_profile
 from repro.analysis import (
-    compute_frequencies,
-    compute_times,
-    compute_variances,
+    compute_frequencies, compute_times, compute_variances,
 )
 from repro.costs.estimate import CostEstimator
 from repro.report import format_table
+from repro.validate.measure import measure_callable
 from repro.workloads.generators import ProgramGenerator
 
-from conftest import publish
+from conftest import enforce, gate, publish, record
+
+SIZES = (4, 16, 64)
+TRIALS = 5
+LINEARITY_CEILING = 4.0
 
 
 def _concatenate_program(n_copies: int) -> str:
@@ -42,40 +41,39 @@ def _concatenate_program(n_copies: int) -> str:
     )
 
 
-def _analysis_passes(program, profile, estimator):
-    """Time only the three per-FCDG passes the paper calls linear."""
-    name = program.main_name
-    fcdg = program.fcdgs[name]
-    costs = {
-        nid: nc.local
-        for nid, nc in estimator.cfg_costs(program.cfgs[name], name).items()
-    }
-    start = time.perf_counter()
-    freqs = compute_frequencies(fcdg, profile.proc(name))
-    times = compute_times(fcdg, freqs, costs)
-    compute_variances(fcdg, freqs, times)
-    return time.perf_counter() - start
-
-
-def test_analysis_scales_linearly(benchmark):
-    sizes = [4, 16, 64]
+def test_analysis_scales_linearly():
     rows = []
-    points = []
-    for n_copies in sizes:
-        source = _concatenate_program(n_copies)
-        program = compile_source(source)
+    layers = {}
+    per_node = []
+    for n_copies in SIZES:
+        program = compile_source(_concatenate_program(n_copies))
         profile = oracle_program_profile(
             program, runs=[{"seed": 0}], max_steps=20_000_000
         )
+        name = program.main_name
+        fcdg = program.fcdgs[name]
         estimator = CostEstimator(program.checked, SCALAR_MACHINE)
-        fcdg_nodes = len(program.fcdgs[program.main_name].nodes)
-        # median of repeated measurements for stability
-        elapsed = min(
-            _analysis_passes(program, profile, estimator) for _ in range(5)
+        node_costs = estimator.cfg_costs(program.cfgs[name], name)
+        costs = {nid: nc.local for nid, nc in node_costs.items()}
+
+        def passes(_trial) -> None:
+            """Only the three per-FCDG passes the paper calls linear."""
+            freqs = compute_frequencies(fcdg, profile.proc(name))
+            times = compute_times(fcdg, freqs, costs)
+            compute_variances(fcdg, freqs, times)
+
+        label = f"analysis.chunks{n_copies}"
+        layers[label] = measure_callable(
+            passes, trials=TRIALS, warmup=1, label=label
         )
-        points.append((fcdg_nodes, elapsed))
+        per_node.append(layers[label].mean_ns / len(fcdg.nodes))
         rows.append(
-            [n_copies, fcdg_nodes, elapsed * 1e3, 1e6 * elapsed / fcdg_nodes]
+            [
+                n_copies,
+                len(fcdg.nodes),
+                layers[label].mean_ns / 1e6,
+                per_node[-1] / 1e3,
+            ]
         )
 
     publish(
@@ -83,21 +81,22 @@ def test_analysis_scales_linearly(benchmark):
         format_table(
             ["chunks", "FCDG nodes", "analysis ms", "us per node"],
             rows,
-            title="FREQ+TIME+VAR pass latency vs program size",
+            title=(
+                "FREQ+TIME+VAR pass latency vs program size "
+                f"(mean of {TRIALS} trials)"
+            ),
         ),
     )
-
-    # per-node cost must stay roughly flat: within 4x from the
-    # smallest to the largest program (linear-time claim).
-    smallest = points[0][1] / points[0][0]
-    largest = points[-1][1] / points[-1][0]
-    assert largest < 4.0 * smallest, (smallest, largest)
-
-    # benchmark the largest program's analysis for the timing table.
-    source = _concatenate_program(sizes[-1])
-    program = compile_source(source)
-    profile = oracle_program_profile(
-        program, runs=[{"seed": 0}], max_steps=20_000_000
+    # Per-node cost must stay roughly flat from the smallest to the
+    # largest program (the linear-time claim).
+    enforce(
+        record(
+            "scaling",
+            end_to_end={
+                "analysis.per_node_growth": gate(
+                    per_node[-1] / per_node[0], LINEARITY_CEILING, "lower"
+                )
+            },
+            layers=layers,
+        )
     )
-    estimator = CostEstimator(program.checked, SCALAR_MACHINE)
-    benchmark(lambda: _analysis_passes(program, profile, estimator))

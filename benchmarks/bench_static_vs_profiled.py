@@ -17,8 +17,6 @@ branches, GOTO search loops).
 
 from __future__ import annotations
 
-import pytest
-
 from repro import (
     SCALAR_MACHINE,
     analyze,
@@ -57,22 +55,17 @@ def _evaluate(program, run_specs):
     }
 
 
-def test_static_vs_profiled(benchmark, loops_program, simple_program):
-    def run_all():
-        return {
-            "LOOPS": _evaluate(loops_program, [{}]),
-            "SIMPLE": _evaluate(simple_program, [{}]),
-            "TWO_EXIT": _evaluate(
-                compile_source(TWO_EXIT_LOOP),
-                [{"seed": s} for s in range(5)],
-            ),
-            "STATE_MACHINE": _evaluate(
-                compile_source(STATE_MACHINE),
-                [{"seed": s} for s in range(5)],
-            ),
-        }
-
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def test_static_vs_profiled(loops_program, simple_program):
+    results = {
+        "LOOPS": _evaluate(loops_program, [{}]),
+        "SIMPLE": _evaluate(simple_program, [{}]),
+        "TWO_EXIT": _evaluate(
+            compile_source(TWO_EXIT_LOOP), [{"seed": s} for s in range(5)]
+        ),
+        "STATE_MACHINE": _evaluate(
+            compile_source(STATE_MACHINE), [{"seed": s} for s in range(5)]
+        ),
+    }
 
     rows = []
     for name, data in results.items():

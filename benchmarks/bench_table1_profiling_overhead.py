@@ -4,7 +4,7 @@ The paper measured LOOPS and SIMPLE on an IBM 3090 (VS Fortran),
 original vs "smart" vs "naive" profiling, with compiler optimization
 ON and OFF.  Here the same three configurations run on the cycle
 model's two machines; the wall-clock of the instrumented interpreter
-is additionally measured by pytest-benchmark.
+is additionally measured (mean ± 95% CI) into ``BENCH_table1.json``.
 
 Shape to reproduce: smart overhead < naive overhead, both small, and
 the *relative* profiling overhead larger on the optimized machine
@@ -26,8 +26,11 @@ from repro import (
 )
 from repro.profiling import PlanExecutor
 from repro.report import format_table
+from repro.validate.measure import measure_callable
 
-from conftest import publish
+from conftest import publish, record
+
+WALL_CLOCK_TRIALS = 10
 
 
 def _measure(program, model):
@@ -84,57 +87,49 @@ def _table1(programs):
     return table, shape_ok
 
 
-def test_table1_cycle_model(benchmark, loops_program, simple_program):
+def test_table1_cycle_model(loops_program, simple_program):
     programs = [("LOOPS", loops_program), ("SIMPLE", simple_program)]
-    table, shape_ok = benchmark(_table1, programs)
+    table, shape_ok = _table1(programs)
     publish("table1_profiling_overhead", table)
     assert shape_ok, "Table 1 shape violated:\n" + table
 
 
-@pytest.mark.parametrize("config", ["original", "smart", "naive"])
-def test_loops_wall_clock(benchmark, loops_program, config):
-    """Wall-clock analog of Table 1's LOOPS rows."""
-    if config == "original":
-        hooks = None
-    elif config == "smart":
-        hooks = PlanExecutor(smart_program_plan(loops_program))
-    else:
-        hooks = PlanExecutor(naive_program_plan(loops_program))
-    benchmark(
-        lambda: run_program(loops_program, model=SCALAR_MACHINE, hooks=hooks)
-    )
+def test_table1_wall_clock(loops_program, simple_program):
+    """Wall-clock analog of Table 1's rows: each configuration's
+    interpreter run, recorded as a layer (no gate)."""
+    layers = {}
+    for prog_name, program in (("loops", loops_program),
+                               ("simple", simple_program)):
+        for config, plan in (
+            ("original", None),
+            ("smart", smart_program_plan(program)),
+            ("naive", naive_program_plan(program)),
+        ):
+            hooks = PlanExecutor(plan) if plan is not None else None
+            label = f"exec.{prog_name}.{config}"
+            layers[label] = measure_callable(
+                lambda _trial: run_program(
+                    program, model=SCALAR_MACHINE, hooks=hooks
+                ),
+                trials=WALL_CLOCK_TRIALS,
+                warmup=1,
+                label=label,
+            )
+    record("table1", layers=layers)
 
 
-@pytest.mark.parametrize("config", ["original", "smart", "naive"])
-def test_simple_wall_clock(benchmark, simple_program, config):
-    """Wall-clock analog of Table 1's SIMPLE rows."""
-    if config == "original":
-        hooks = None
-    elif config == "smart":
-        hooks = PlanExecutor(smart_program_plan(simple_program))
-    else:
-        hooks = PlanExecutor(naive_program_plan(simple_program))
-    benchmark(
-        lambda: run_program(simple_program, model=SCALAR_MACHINE, hooks=hooks)
-    )
-
-
-def test_overhead_independent_of_problem_size(benchmark):
+def test_overhead_independent_of_problem_size():
     """Relative profiling overhead is a property of the *code*, not
     the problem size — the reason Table 1's percentages generalize
     beyond the paper's particular inputs."""
     from repro import compile_source
     from repro.workloads.livermore import livermore_source
 
-    def measure():
-        overheads = []
-        for n in (24, 48, 96):
-            program = compile_source(livermore_source(n=n, n2=4))
-            original, smart, _ = _measure(program, SCALAR_MACHINE)
-            overheads.append((smart - original) / original)
-        return overheads
-
-    overheads = benchmark.pedantic(measure, rounds=1, iterations=1)
+    overheads = []
+    for n in (24, 48, 96):
+        program = compile_source(livermore_source(n=n, n2=4))
+        original, smart, _ = _measure(program, SCALAR_MACHINE)
+        overheads.append((smart - original) / original)
     spread = max(overheads) - min(overheads)
     assert spread < 0.01, overheads  # percentages stay put as N grows
 
@@ -144,17 +139,11 @@ def test_overhead_independent_of_problem_size(benchmark):
     reason="paper-size SIMPLE (100x100, NCYCLES=10) takes minutes; "
     "set REPRO_FULLSIZE=1 to include it",
 )
-def test_table1_paper_size(benchmark):
+def test_table1_paper_size():
     """Table 1 at the paper's stated SIMPLE configuration."""
     from repro import compile_source
     from repro.workloads.simple_cfd import simple_source
 
     program = compile_source(simple_source(n=100, ncycles=10))
-
-    def measure():
-        return _measure(program, SCALAR_MACHINE)
-
-    original, smart, naive = benchmark.pedantic(
-        measure, rounds=1, iterations=1
-    )
+    original, smart, naive = _measure(program, SCALAR_MACHINE)
     assert original <= smart < naive

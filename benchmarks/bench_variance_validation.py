@@ -24,7 +24,6 @@ from repro import (
     SCALAR_MACHINE,
     analyze,
     compile_source,
-    oracle_program_profile,
     run_program,
 )
 from repro.report import format_table
@@ -95,15 +94,12 @@ def _validate(source):
     return models, statistics.fmean(costs), statistics.pvariance(costs)
 
 
-def test_variance_validation(benchmark):
-    def run_all():
-        return {
-            "branch DAG (iid)": _validate(BRANCH_DAG),
-            "geometric loop": _validate(GEOMETRIC_LOOP),
-            "counted loop": _validate(COUNTED_LOOP),
-        }
-
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def test_variance_validation():
+    results = {
+        "branch DAG (iid)": _validate(BRANCH_DAG),
+        "geometric loop": _validate(GEOMETRIC_LOOP),
+        "counted loop": _validate(COUNTED_LOOP),
+    }
 
     rows = []
     for name, (models, mean, var) in results.items():
