@@ -1,9 +1,8 @@
 """Dataflow-solver overhead: the four analyses vs compilation.
 
-`repro check` now runs reaching definitions, liveness, SCCP and value
-ranges on every procedure, and `optimize=True` codegen replans them on
-demand — so the solver must stay cheap relative to the compile work it
-rides on.  This benchmark times, over the Livermore corpus plus a
+`repro check` runs reaching definitions, liveness, SCCP and value
+ranges on every procedure, and the static bounds solve them again — so
+the solver must stay cheap relative to the compile work it rides on.  This benchmark times, over the Livermore corpus plus a
 slice of generator programs:
 
 * ``compile``   — ``compile_source`` + both counter plans + lowering

@@ -52,7 +52,9 @@ from repro.profiling import ProgramPlan
 #:    codegen shell.
 #: 6: the codegen shell no longer ships emitted base source or its
 #:    fingerprint; every variant is emitted on first use.
-CACHE_FORMAT = 6
+#: 7: the codegen shell also references the front end's interval
+#:    structures, which its emitter takes the loops from.
+CACHE_FORMAT = 7
 
 _PLAN_BUILDERS = {
     "smart": smart_program_plan,

@@ -26,7 +26,7 @@ from repro.checker.diagnostics import (
     Severity,
     diag,
 )
-from repro.checker.lint import LINT_MODES, lint_program
+from repro.checker.lint import lint_program
 from repro.checker.plans import check_program_plan
 from repro.checker.slots import (
     audit_bump_sites,
@@ -48,7 +48,6 @@ __all__ = [
     "check_slot_tables",
     "check_source",
     "check_structure",
-    "LINT_MODES",
     "lint_program",
     "verify_program",
 ]

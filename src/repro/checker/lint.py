@@ -1,26 +1,20 @@
 """Dataflow lints over minifort sources (REP3xx).
 
-The linter runs on the checked AST and the statement-level CFGs.  In
-the default ``lint_mode="dataflow"`` the path-sensitive findings come
-from the worklist analyses of :mod:`repro.dataflow` (reaching
-definitions, liveness, SCCP constants); ``lint_mode="syntactic"``
-keeps the historical purely-syntactic implementations for one release
-as an escape hatch.
+The linter runs on the checked AST and the statement-level CFGs.  The
+path-sensitive findings come from the worklist analyses of
+:mod:`repro.dataflow` (reaching definitions, liveness, SCCP
+constants).
 
 * **REP301** (hint) — a scalar read that no path from the procedure
-  entry can have defined.  The dataflow engine computes this from
-  reaching definitions restricted to SCCP-*feasible* edges, so a
-  definition under a constant-false guard no longer counts, and a
-  scalar passed to a CALL only counts as defined when the callee's
-  parameter summary says the position is writable (read-only callees
-  used to suppress genuine findings).  A hint rather than a warning
-  because minifort (unlike Fortran 77) guarantees
-  zero-initialization, so relying on it is defined behavior — merely
-  suspect;
-* **REP302** — a statement that can never execute.  The dataflow mode
-  reports every statement the CFG builder pruned as unreachable from
-  the procedure entry (the syntactic mode only catches an unlabelled
-  statement right after a jump);
+  entry can have defined.  Computed from reaching definitions
+  restricted to SCCP-*feasible* edges, so a definition under a
+  constant-false guard does not count, and a scalar passed to a CALL
+  only counts as defined when the callee's parameter summary says the
+  position is writable.  A hint rather than a warning because
+  minifort (unlike Fortran 77) guarantees zero-initialization, so
+  relying on it is defined behavior — merely suspect;
+* **REP302** — a statement that can never execute: every statement
+  the CFG builder pruned as unreachable from the procedure entry;
 * **REP303** — an assignment to a DO loop's index variable (or a
   nested DO reusing it) inside the loop body: Fortran-77 leaves the
   result undefined, and the interval analysis assumes the hidden trip
@@ -29,14 +23,13 @@ as an escape hatch.
 * **REP305** (hint) — an exit-free DO loop whose trip count is not a
   compile-time constant: the counter-free half of Opt 3 silently does
   not apply, so the loop keeps a batched counter;
-* **REP306** (hint, dataflow mode) — a scalar store no feasible path
-  ever reads (liveness-dead) whose right-hand side provably cannot
-  raise; exactly the stores the ``optimize=True`` codegen drops;
-* **REP307** (hint, dataflow mode) — a branch whose condition SCCP
-  proves constant on every feasible path, naming the taken arm;
-  exactly the branches the ``optimize=True`` codegen folds;
-* **REP308** (dataflow mode) — a loop no feasible edge ever leaves:
-  once entered, the program can never terminate.
+* **REP306** (hint) — a scalar store no feasible path ever reads
+  (liveness-dead) whose right-hand side provably cannot raise, so
+  deleting the statement could not change what the program does;
+* **REP307** (hint) — a branch whose condition SCCP proves constant
+  on every feasible path, naming the taken arm;
+* **REP308** — a loop no feasible edge ever leaves: once entered, the
+  program can never terminate.
 
 Hints are only produced with ``hints=True``; they describe missed
 optimizations rather than likely bugs, and built-in workloads trip
@@ -45,79 +38,42 @@ them by design.
 
 from __future__ import annotations
 
+from repro.cfg.graph import StmtKind
 from repro.checker.diagnostics import Diagnostic, diag
 from repro.lang import ast
 from repro.lang.symbols import CheckedProgram
 from repro.profiling.placement import _constant_trip
 
-#: Valid ``lint_mode=`` choices (``repro check --lint-mode``).
-LINT_MODES = ("dataflow", "syntactic")
-
 
 def lint_program(
-    checked: CheckedProgram,
-    cfgs,
-    *,
-    hints: bool = False,
-    lint_mode: str = "dataflow",
-) -> list[Diagnostic]:
-    """All REP3xx findings for a checked program."""
-    if lint_mode not in LINT_MODES:
-        raise ValueError(
-            f"unknown lint_mode {lint_mode!r}; expected one of {LINT_MODES}"
-        )
-    if lint_mode == "syntactic":
-        return _lint_syntactic(checked, cfgs, hints=hints)
-    return _lint_dataflow(checked, cfgs, hints=hints)
-
-
-def _lint_syntactic(
     checked: CheckedProgram, cfgs, *, hints: bool = False
 ) -> list[Diagnostic]:
-    """The historical syntactic lint battery (pre-dataflow)."""
-    findings: list[Diagnostic] = []
-    for name, proc in sorted(checked.unit.procedures.items()):
-        findings.extend(_lint_unreachable(proc))
-        findings.extend(_lint_do_index_mutation(proc))
-        if hints:
-            cfg = cfgs.get(name)
-            if cfg is not None:
-                findings.extend(_lint_use_before_def(checked, proc, cfg))
-            findings.extend(_lint_missing_stop(proc))
-            findings.extend(_lint_nonconstant_trip(checked, proc))
-    return findings
+    """All REP3xx findings for a checked program.
 
-
-def _lint_dataflow(
-    checked: CheckedProgram, cfgs, *, hints: bool = False
-) -> list[Diagnostic]:
-    """The dataflow-engine lint battery (REP301/302/306/307/308)."""
+    ``cfgs`` holds one CFG per procedure, as
+    :func:`repro.cfg.build_program_cfgs` builds them.
+    """
     from repro.dataflow import analyze_procedure, param_summaries
 
     summaries = param_summaries(checked)
     findings: list[Diagnostic] = []
     for name, proc in sorted(checked.unit.procedures.items()):
-        cfg = cfgs.get(name)
-        df = None
-        if cfg is not None:
-            df = analyze_procedure(checked, name, cfg, summaries=summaries)
-            findings.extend(_df_unreachable(proc, cfg))
-            findings.extend(_df_infinite_loops(proc, cfg, df))
-        else:
-            findings.extend(_lint_unreachable(proc))
+        cfg = cfgs[name]
+        df = analyze_procedure(checked, name, cfg, summaries=summaries)
+        findings.extend(_df_unreachable(proc, cfg))
+        findings.extend(_df_infinite_loops(proc, cfg, df))
         findings.extend(_lint_do_index_mutation(proc))
         if hints:
-            if df is not None:
-                findings.extend(_df_use_before_def(proc, cfg, df))
-                findings.extend(_df_constant_branches(proc, cfg, df))
-                findings.extend(_df_dead_stores(checked, proc, cfg, df))
+            findings.extend(_df_use_before_def(proc, cfg, df))
+            findings.extend(_df_constant_branches(proc, cfg, df))
+            findings.extend(_df_dead_stores(checked, proc, cfg, df))
             findings.extend(_lint_missing_stop(proc))
             findings.extend(_lint_nonconstant_trip(checked, proc))
     return findings
 
 
 # ---------------------------------------------------------------------------
-# Dataflow-engine implementations
+# REP301 / REP302 / REP306 / REP307 / REP308 — dataflow findings
 # ---------------------------------------------------------------------------
 
 
@@ -188,18 +144,30 @@ def _df_constant_branches(proc: ast.Procedure, cfg, df) -> list[Diagnostic]:
 def _df_dead_stores(
     checked: CheckedProgram, proc: ast.Procedure, cfg, df
 ) -> list[Diagnostic]:
-    """REP306: liveness-dead total stores (what codegen DCE drops)."""
-    from repro.dataflow.optimize import plan_proc_optimizations
-
-    opts = plan_proc_optimizations(checked, proc.name, cfg, df)
+    """REP306: liveness-dead stores whose evaluation cannot raise."""
+    table = checked.tables[proc.name]
     findings: list[Diagnostic] = []
-    for node_id in sorted(opts.dead_stores):
+    for node_id in sorted(cfg.nodes):
         node = cfg.nodes[node_id]
-        target = node.stmt.target.name if node.stmt is not None else "?"
+        if node.kind is not StmtKind.ASSIGN:
+            continue
+        stmt = node.stmt
+        if not isinstance(stmt, ast.Assign):
+            continue
+        if node_id not in df.constants.executable:
+            continue
+        target = stmt.target
+        if not isinstance(target, ast.VarRef):
+            continue
+        live_out = df.liveness.out_of.get(node_id)
+        if live_out is None or target.name in live_out:
+            continue
+        if not _store_is_total(stmt, table):
+            continue
         findings.append(
             diag(
                 "REP306",
-                f"value stored to {target} is never read on any "
+                f"value stored to {target.name} is never read on any "
                 "feasible path (dead store)",
                 proc=proc.name,
                 node=node_id,
@@ -207,6 +175,84 @@ def _df_dead_stores(
             )
         )
     return findings
+
+
+def _leaf_type(expr, table):
+    """The static type of a total leaf, or None if not a safe leaf."""
+    if isinstance(expr, ast.IntLit):
+        return ast.Type.INTEGER
+    if isinstance(expr, ast.RealLit):
+        return ast.Type.REAL
+    if isinstance(expr, ast.LogicalLit):
+        return ast.Type.LOGICAL
+    if isinstance(expr, ast.VarRef):
+        if expr.name in table.constants:
+            value = table.constants[expr.name]
+            return (
+                ast.Type.INTEGER if isinstance(value, int) else ast.Type.REAL
+            )
+        info = table.lookup(expr.name)
+        if info is None or info.is_array:
+            return None
+        return info.type
+    return None
+
+
+def _pure_integer(expr, table) -> bool:
+    """True when ``expr`` is arithmetic over INTEGER scalars only.
+
+    Python integers never overflow and ADD/SUB/MUL/NEG/POS never
+    raise, so evaluating (or not evaluating) such an expression is
+    observationally identical as long as its value goes unused.
+    """
+    if isinstance(expr, ast.IntLit):
+        return True
+    if isinstance(expr, ast.VarRef):
+        return _leaf_type(expr, table) is ast.Type.INTEGER
+    if isinstance(expr, ast.Unary):
+        return expr.op in (ast.UnOp.NEG, ast.UnOp.POS) and _pure_integer(
+            expr.operand, table
+        )
+    if isinstance(expr, ast.Binary):
+        return expr.op in (
+            ast.BinOp.ADD,
+            ast.BinOp.SUB,
+            ast.BinOp.MUL,
+        ) and all(_pure_integer(side, table) for side in (expr.left, expr.right))
+    return False
+
+
+def _store_is_total(stmt: ast.Assign, table) -> bool:
+    """Can ``target = value`` provably never raise at runtime?
+
+    No division, exponentiation, calls or array loads on the right,
+    and no store coercion that can overflow.
+    """
+    target = stmt.target
+    if not isinstance(target, ast.VarRef):
+        return False
+    info = table.lookup(target.name)
+    if info is None or info.is_array:
+        return False
+    ttype = info.type
+
+    # A single type-compatible leaf: literals coerce totally (their
+    # magnitude is fixed at compile time), variables only when no
+    # coercion happens at all (int(huge_int) and float(huge_int) can
+    # overflow, so REAL<-INTEGER and INTEGER<-REAL are out).
+    value = stmt.value
+    if isinstance(value, (ast.IntLit, ast.RealLit)):
+        return ttype in (ast.Type.INTEGER, ast.Type.REAL)
+    if isinstance(value, ast.LogicalLit):
+        return ttype is ast.Type.LOGICAL
+    leaf = _leaf_type(value, table)
+    if leaf is not None:
+        return leaf is ttype
+
+    # Pure-INTEGER arithmetic into an INTEGER target.
+    if ttype is ast.Type.INTEGER:
+        return _pure_integer(value, table)
+    return False
 
 
 def _df_infinite_loops(proc: ast.Procedure, cfg, df) -> list[Diagnostic]:
@@ -307,208 +353,6 @@ def _df_infinite_loops(proc: ast.Procedure, cfg, df) -> list[Diagnostic]:
                 line=cfg.nodes[where].line,
             )
         )
-    return findings
-
-
-# ---------------------------------------------------------------------------
-# REP301 — use before any possible definition
-# ---------------------------------------------------------------------------
-
-
-def _scalar_reads(expr: ast.Expr, table) -> set[str]:
-    """Scalar variable names read by an expression.
-
-    Bare VarRef arguments of calls are *not* reads: a callee may
-    define them through the reference (see module docstring).
-    """
-    reads: set[str] = set()
-
-    def visit(node: ast.Expr) -> None:
-        if isinstance(node, ast.VarRef):
-            info = table.lookup(node.name)
-            if info is None or not info.is_array:
-                reads.add(node.name)
-        elif isinstance(node, ast.Binary):
-            visit(node.left)
-            visit(node.right)
-        elif isinstance(node, ast.Unary):
-            visit(node.operand)
-        elif isinstance(node, ast.ArrayRef):
-            for index in node.indices:
-                visit(index)
-        elif isinstance(node, ast.FuncCall):
-            for arg in node.args:
-                if isinstance(arg, ast.VarRef):
-                    continue  # by-reference: potential definition
-                visit(arg)
-
-    visit(expr)
-    return reads
-
-
-def _byref_defs(expr: ast.Expr, table) -> set[str]:
-    """Scalars a call inside ``expr`` may define through a reference."""
-    defs: set[str] = set()
-
-    def visit(node: ast.Expr) -> None:
-        if isinstance(node, ast.FuncCall):
-            for arg in node.args:
-                if isinstance(arg, ast.VarRef):
-                    info = table.lookup(arg.name)
-                    if info is None or not info.is_array:
-                        defs.add(arg.name)
-                else:
-                    visit(arg)
-        elif isinstance(node, ast.Binary):
-            visit(node.left)
-            visit(node.right)
-        elif isinstance(node, ast.Unary):
-            visit(node.operand)
-        elif isinstance(node, ast.ArrayRef):
-            for index in node.indices:
-                visit(index)
-
-    visit(expr)
-    return defs
-
-
-def _node_uses_defs(node, table) -> tuple[set[str], set[str]]:
-    """(reads, definitions) of one CFG node, reads evaluated first."""
-    from repro.cfg.graph import StmtKind
-
-    uses: set[str] = set()
-    defs: set[str] = set()
-    stmt = node.stmt
-
-    def read(expr: ast.Expr | None) -> None:
-        if expr is not None:
-            uses.update(_scalar_reads(expr, table))
-            defs.update(_byref_defs(expr, table))
-
-    if node.kind is StmtKind.ASSIGN and isinstance(stmt, ast.Assign):
-        read(stmt.value)
-        target = stmt.target
-        if isinstance(target, ast.ArrayRef):
-            for index in target.indices:
-                read(index)
-        elif isinstance(target, ast.VarRef):
-            info = table.lookup(target.name)
-            if info is None or not info.is_array:
-                defs.add(target.name)
-    elif node.kind in (
-        StmtKind.IF,
-        StmtKind.WHILE_TEST,
-        StmtKind.AIF,
-        StmtKind.CGOTO,
-    ):
-        read(node.cond)
-    elif node.kind is StmtKind.DO_INIT and isinstance(stmt, ast.DoLoop):
-        read(stmt.start)
-        read(stmt.stop)
-        read(stmt.step)
-        defs.add(stmt.var)
-        if node.trip_var:
-            defs.add(node.trip_var)
-    elif node.kind is StmtKind.CALL and isinstance(stmt, ast.CallStmt):
-        for arg in stmt.args:
-            if isinstance(arg, ast.VarRef):
-                info = table.lookup(arg.name)
-                if info is None or not info.is_array:
-                    defs.add(arg.name)  # by reference
-            else:
-                read(arg)
-    elif node.kind is StmtKind.PRINT and isinstance(stmt, ast.PrintStmt):
-        for item in stmt.items:
-            read(item)
-    return uses, defs
-
-
-def _lint_use_before_def(
-    checked: CheckedProgram, proc: ast.Procedure, cfg
-) -> list[Diagnostic]:
-    table = checked.tables[proc.name]
-    initial: set[str] = set(proc.params)
-    initial.update(table.constants)
-    if proc.kind is ast.ProcKind.FUNCTION:
-        initial.add(proc.name)  # the return slot
-
-    uses_of: dict[int, set[str]] = {}
-    defs_of: dict[int, set[str]] = {}
-    for node in cfg:
-        uses_of[node.id], defs_of[node.id] = _node_uses_defs(node, table)
-
-    # Forward may-be-defined fixpoint (union over predecessors).
-    may_in: dict[int, set[str]] = {n: set() for n in cfg.nodes}
-    may_out: dict[int, set[str]] = {n: set() for n in cfg.nodes}
-    may_in[cfg.entry] = set(initial)
-    worklist = list(cfg.nodes)
-    while worklist:
-        node = worklist.pop()
-        incoming = set(may_in[node]) if node == cfg.entry else set()
-        for pred in cfg.predecessors(node):
-            incoming |= may_out[pred]
-        out = incoming | defs_of[node]
-        if incoming != may_in[node] or out != may_out[node]:
-            may_in[node] = incoming
-            may_out[node] = out
-            worklist.extend(cfg.successors(node))
-
-    findings: list[Diagnostic] = []
-    reported: set[str] = set()
-    for node_id in sorted(cfg.nodes):
-        undefined = uses_of[node_id] - may_in[node_id] - reported
-        for var in sorted(undefined):
-            reported.add(var)  # one finding per variable per procedure
-            findings.append(
-                diag(
-                    "REP301",
-                    f"{var} is read but defined on no path from entry",
-                    proc=proc.name,
-                    node=node_id,
-                    line=cfg.nodes[node_id].line,
-                )
-            )
-    return findings
-
-
-# ---------------------------------------------------------------------------
-# REP302 — unreachable statements
-# ---------------------------------------------------------------------------
-
-_TERMINAL = (ast.Goto, ast.StopStmt, ast.ReturnStmt, ast.ArithmeticIf)
-
-
-def _lint_unreachable(proc: ast.Procedure) -> list[Diagnostic]:
-    findings: list[Diagnostic] = []
-
-    def scan(body: list[ast.Stmt]) -> None:
-        dead = False
-        for stmt in body:
-            if stmt.label is not None:
-                dead = False  # a label makes the statement a GOTO target
-            if dead:
-                findings.append(
-                    diag(
-                        "REP302",
-                        "statement can never execute (follows a jump "
-                        "with no label to reach it)",
-                        proc=proc.name,
-                        line=stmt.line,
-                    )
-                )
-                dead = False  # report the first dead statement of a run
-            if isinstance(stmt, _TERMINAL):
-                dead = True
-            if isinstance(stmt, ast.IfBlock):
-                for _, arm in stmt.arms:
-                    scan(arm)
-                scan(stmt.else_body)
-            elif isinstance(stmt, (ast.DoLoop, ast.DoWhile)):
-                scan(stmt.body)
-            elif isinstance(stmt, ast.LogicalIf):
-                pass  # the guarded statement is conditional, never dead
-
-    scan(proc.body)
     return findings
 
 

@@ -312,7 +312,6 @@ def audit_path_sites(program, plan, meta) -> list[Diagnostic]:
         proc_plan = plan.plans[name]
         cfg = program.cfgs[name]
         reachable = meta.reachable.get(name, set())
-        pruned = set(getattr(meta, "pruned_edges", {}).get(name, ()))
         emitted = set(
             tuple(site) for site in meta.path_sites.get(name, ())
         )
@@ -326,15 +325,10 @@ def audit_path_sites(program, plan, meta) -> list[Diagnostic]:
             # A STOP source raises before traversing its out edge, so
             # the emitter plants no increment there (it is always the
             # node's first ordered choice and carries 0 anyway).
-            if (
-                inc
-                and key not in pruned
-                and key[0] in reachable
-                and not stop_node(key[0])
-            ):
+            if inc and key[0] in reachable and not stop_node(key[0]):
                 expected.add(("inc", key, inc))
         for key, (bump_add, reset) in proc_plan.flushes.items():
-            if key not in pruned and key[0] in reachable:
+            if key[0] in reachable:
                 expected.add(("flush", key, bump_add, reset))
         if proc_plan.exit in reachable:
             expected.add(("exit", proc_plan.exit))

@@ -75,11 +75,6 @@ def audit_bump_sites(program, plan, meta) -> list[Diagnostic]:
         table = lower_counter_plan(plan.plans[name])
         cfg = program.cfgs[name]
         reachable = meta.reachable.get(name, set())
-        # Branch arms the optimizer folded away: their edge slots are
-        # planned but provably never bumped (static FREQ 0), so a
-        # missing bump site there is expected, not a miscompile.
-        # (getattr: metadata pickled before the field existed.)
-        pruned = set(getattr(meta, "pruned_edges", {}).get(name, ()))
         emitted = {
             (slot, kind, where)
             for slot, kind, where in meta.bumps.get(name, ())
@@ -99,9 +94,7 @@ def audit_bump_sites(program, plan, meta) -> list[Diagnostic]:
         for nid, slot in table.node_slots.items():
             add((slot, "node", nid), nid)
         for (nid, label), slot in table.edge_slots.items():
-            planned_all.add((slot, "edge", (nid, label)))
-            if (nid, label) not in pruned:
-                add((slot, "edge", (nid, label)), nid)
+            add((slot, "edge", (nid, label)), nid)
         for nid, pairs in table.batch_slots.items():
             for slot, _offset in pairs:
                 add((slot, "batch", nid), nid)

@@ -65,7 +65,6 @@ def check_source(
     plan_kinds: tuple[str, ...] = ("smart",),
     lint: bool = True,
     hints: bool = False,
-    lint_mode: str = "dataflow",
 ) -> DiagnosticReport:
     """Compile ``source`` and run every applicable check."""
     from repro.pipeline import (
@@ -112,12 +111,7 @@ def check_source(
         if lint:
             with span("check.lint"):
                 report.extend(
-                    lint_program(
-                        program.checked,
-                        program.cfgs,
-                        hints=hints,
-                        lint_mode=lint_mode,
-                    )
+                    lint_program(program.checked, program.cfgs, hints=hints)
                 )
     return report
 

@@ -121,7 +121,6 @@ def _cmd_run(args) -> int:
         model=_MODELS[args.model],
         max_steps=args.max_steps,
         backend=args.backend,
-        optimize=args.optimize,
     )
     for line in result.outputs:
         print(line)
@@ -163,7 +162,6 @@ def _cmd_profile(args) -> int:
         model=_MODELS[args.model],
         record_loop_moments=args.loop_moments,
         backend=args.backend,
-        optimize=args.optimize,
         mode=args.mode,
     )
     print(
@@ -906,7 +904,6 @@ def _cmd_check(args) -> int:
             plan_kinds=plan_kinds,
             lint=not args.no_lint,
             hints=args.hints,
-            lint_mode=args.lint_mode,
         )
         for program_id, source in programs
     ]
@@ -1150,11 +1147,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="execution engine (default: auto — codegen, falling back "
         "to reference)",
     )
-    p_run.add_argument(
-        "--optimize", action="store_true",
-        help="fold dataflow-constant branches and drop dead stores in "
-        "the codegen backend (results stay bit-identical)",
-    )
     p_run.set_defaults(func=_cmd_run)
 
     p_profile = sub.add_parser(
@@ -1183,11 +1175,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend", choices=list(BACKENDS), default="auto",
         help="execution engine (default: auto — codegen, falling back "
         "to reference)",
-    )
-    p_profile.add_argument(
-        "--optimize", action="store_true",
-        help="fold dataflow-constant branches and drop dead stores in "
-        "the codegen backend (counters stay bit-identical)",
     )
     p_profile.set_defaults(func=_cmd_profile)
 
@@ -1342,13 +1329,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--hints", action="store_true",
         help="also emit hint-level findings "
         "(REP301/304/305/306/307)",
-    )
-    p_check.add_argument(
-        "--lint-mode", choices=["dataflow", "syntactic"],
-        default="dataflow",
-        help="lint implementation: 'dataflow' (CFG dataflow framework, "
-        "default) or 'syntactic' (pre-dataflow behavior, kept for one "
-        "release)",
     )
     p_check.add_argument(
         "--json", metavar="PATH",

@@ -62,23 +62,17 @@ class CodegenBackend:
     """Source-emitting execution engine for one checked program."""
 
     def __init__(
-        self,
-        checked,
-        cfgs,
-        *,
-        mutation: str | None = None,
-        optimize=None,
+        self, checked, cfgs, intervals, *, mutation: str | None = None
     ):
         self.checked = checked
         self.cfgs = cfgs
+        #: Procedure -> the front end's
+        #: :class:`~repro.intervals.IntervalStructure` of its CFG: the
+        #: loops the emitter structures its ``while`` blocks around.
+        self.intervals = intervals
         #: Test seam for the mutation-kill suite: every variant this
         #: backend emits carries the named deliberate miscompile.
         self.mutation = mutation
-        #: Optional :class:`~repro.dataflow.optimize.OptimizationPlan`;
-        #: folds dataflow-proven constant branches and drops dead
-        #: stores at emission time (results stay bit-identical — the
-        #: pruned regions have static FREQ 0).
-        self.optimize = optimize
         self._reset_compiled()
 
     def _reset_compiled(self) -> None:
@@ -116,13 +110,17 @@ class CodegenBackend:
     # -- pickling: ship the shell, re-emit on demand ------------------
 
     def __getstate__(self):
-        return {"checked": self.checked, "cfgs": self.cfgs}
+        return {
+            "checked": self.checked,
+            "cfgs": self.cfgs,
+            "intervals": self.intervals,
+        }
 
     def __setstate__(self, state):
         self.checked = state["checked"]
         self.cfgs = state["cfgs"]
+        self.intervals = state["intervals"]
         self.mutation = None
-        self.optimize = None
         self._reset_compiled()
 
     # -- lowering ------------------------------------------------------
@@ -140,7 +138,9 @@ class CodegenBackend:
         try:
             shapes: dict[str, ProcShape] = {}
             for index, (name, cfg) in enumerate(self.cfgs.items()):
-                shapes[name] = build_shape(self.checked, name, cfg, index)
+                shapes[name] = build_shape(
+                    self.checked, name, cfg, index, self.intervals[name]
+                )
         except LoweringError as exc:
             self._lower_error = exc
             _emits().inc(outcome="fallback")
@@ -190,7 +190,6 @@ class CodegenBackend:
                 costs=costs,
                 cu=cu,
                 mutation=self.mutation,
-                optimize=self.optimize,
             )
             fingerprint = _fingerprint(source)
             try:
@@ -409,30 +408,20 @@ def _fingerprint(source: str) -> str:
     return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
 
-def codegen_backend_for(program, *, optimize: bool = False) -> CodegenBackend:
+def codegen_backend_for(program) -> CodegenBackend:
     """The (cached) codegen backend of a CompiledProgram.
 
     The backend rides along as a ``_codegen`` attribute so the
     content-hash artifact cache persists its shell — the checked
-    program and CFGs, never emitted code — with the program.  With
-    ``optimize=True`` a second backend (cached as ``_codegen_opt``)
-    is built around the program's dataflow
-    :func:`~repro.dataflow.optimize.plan_optimizations` plan; it is
-    never pickled with the program.
+    program, CFGs and interval structures, never emitted code — with
+    the program.
     """
-    if optimize:
-        backend = getattr(program, "_codegen_opt", None)
-        if backend is None or backend.checked is not program.checked:
-            from repro.dataflow.optimize import plan_optimizations
-
-            plan = plan_optimizations(program.checked, program.cfgs)
-            backend = CodegenBackend(
-                program.checked, program.cfgs, optimize=plan
-            )
-            program._codegen_opt = backend
-        return backend
     backend = getattr(program, "_codegen", None)
     if backend is None or backend.checked is not program.checked:
-        backend = CodegenBackend(program.checked, program.cfgs)
+        backend = CodegenBackend(
+            program.checked,
+            program.cfgs,
+            {name: ecfg.intervals for name, ecfg in program.ecfgs.items()},
+        )
         program._codegen = backend
     return backend

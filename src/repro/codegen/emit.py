@@ -146,10 +146,6 @@ class EmitMeta:
     #: proc -> original node ids reachable under the reference's
     #: last-wins dispatch (what the structured body covers).
     reachable: dict[str, set] = field(default_factory=dict)
-    #: proc -> [(node id, label)] branch arms the optimizer pruned.
-    #: Their slots stay in the table but are provably never bumped
-    #: (static FREQ 0); the REP405 audit excludes them.
-    pruned_edges: dict[str, list[tuple]] = field(default_factory=dict)
     #: proc -> [(kind, where, *constants)] in textual order, one entry
     #: per emitted path-register site (path-mode variants only):
     #: ``("inc", (nid, label), k)``, ``("flush", (nid, label), bump,
@@ -178,7 +174,6 @@ class ProcEmitter:
         cu: float | None = None,
         mutation: str | None = None,
         meta: EmitMeta | None = None,
-        opts=None,
     ):
         self.checked = checked
         self.shapes = shapes
@@ -242,35 +237,6 @@ class ProcEmitter:
                     )
                 pairs.append((label, shape.dense[dst]))
             self.succ_by_label[i] = pairs
-        # Dataflow-planned pruning (``optimize=True``): a forced branch
-        # keeps its condition evaluation but loses the untaken arms (a
-        # single-successor node emits no if/elif tree); a dead store
-        # keeps its charge, cost and counters but loses the store.
-        # Pruned arms are recorded so the REP405 audit knows their
-        # planned edge slots legitimately have no bump site.
-        self.dead_stores: set[int] = set()
-        self.meta.pruned_edges.setdefault(shape.name, [])
-        if opts is not None and not opts.empty:
-            for i, nid in enumerate(shape.node_ids):
-                forced = opts.forced.get(nid)
-                if forced is not None and len(self.succ_by_label[i]) > 1:
-                    kept = [
-                        (label, d)
-                        for label, d in self.succ_by_label[i]
-                        if label == forced
-                    ]
-                    if len(kept) == 1:
-                        self.meta.pruned_edges[shape.name].extend(
-                            (nid, label)
-                            for label, _d in self.succ_by_label[i]
-                            if label != forced
-                        )
-                        self.succ_by_label[i] = kept
-                if (
-                    nid in opts.dead_stores
-                    and self.kind[i] is StmtKind.ASSIGN
-                ):
-                    self.dead_stores.add(i)
 
     # -- small infrastructure ------------------------------------------
 
@@ -1188,14 +1154,7 @@ class ProcEmitter:
         return self.kind[k] in self._FUSE_MID and not self._node_has_call(k)
 
     def fusable_branch(self, k: int) -> bool:
-        # A folded (forced) branch has a single successor left: it is
-        # no longer a branch for emission purposes and must not end a
-        # fused block (the arm heads would misalign with its one pair).
-        return (
-            self.kind[k] in self._FUSE_BRANCH
-            and len(self.succ_by_label[k]) > 1
-            and not self._node_has_call(k)
-        )
+        return self.kind[k] in self._FUSE_BRANCH and not self._node_has_call(k)
 
     def begin_block(self, nodes: list[int], trailing_branch: bool) -> None:
         """One step-budget charge and one hit counter for a whole
@@ -1405,14 +1364,6 @@ class ProcEmitter:
             self.bump_node(k)
             return None
         if kind is StmtKind.ASSIGN:
-            if k in self.dead_stores:
-                # Dataflow-planned dead store: the value is never read
-                # and the RHS is provably total, so skipping both the
-                # evaluation and the store is unobservable.  The step
-                # charge, cost and counters still accrue (the reference
-                # executes the store, so accounting must match).
-                self.bump_node(k)
-                return None
             self._emit_assign(self.node_stmt[k])
             self.bump_node(k)
             return None
@@ -1608,6 +1559,7 @@ class ProcEmitter:
             },
             self.shape.entry_idx,
             {i for i, kd in self.kind.items() if kd in _TERMINALS},
+            self.shape.loops,
         )
         self.meta.reachable[name] = {
             self.shape.node_ids[i] for i in flow.reachable
@@ -1956,7 +1908,6 @@ def emit_module(
     costs: dict | None = None,
     cu: float | None = None,
     mutation: str | None = None,
-    optimize=None,
 ) -> tuple[str, EmitMeta]:
     """Lower every procedure of a checked program to Python source.
 
@@ -1967,12 +1918,6 @@ def emit_module(
     variants; mutually exclusive with ``plan_tables``),
     ``costs`` maps procedure name to a node-id -> cost dict and ``cu``
     is the machine model's counter-update cost (costed variants).
-    ``optimize`` is an optional
-    :class:`~repro.dataflow.optimize.OptimizationPlan`; when given,
-    branches the constant-propagation pass proved one-sided are folded
-    and dataflow-dead stores are dropped before emission.  Counter slot
-    tables are preserved — pruned regions have static ``FREQ`` 0, so
-    their slots simply stay at 0.0 and results remain bit-identical.
     Returns ``(source, meta)``; ``exec`` the source in a namespace from
     :func:`repro.codegen.runtime.make_namespace` to obtain the
     ``P_<name>`` functions.
@@ -1998,7 +1943,6 @@ def emit_module(
             cu=cu,
             mutation=mutation,
             meta=meta,
-            opts=optimize.proc(name) if optimize is not None else None,
         )
         lines.extend(emitter.emit())
         lines.append("")

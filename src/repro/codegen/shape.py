@@ -4,7 +4,8 @@ Before emitting a procedure, the codegen backend fixes one static
 description of it: which variables exist and in what order (the
 reference interpreter's env insertion order), which hidden trip
 counters its DO loops need, the dense numbering of CFG nodes and real
-(non-pseudo) edges, and the FUNCTION result variable.
+(non-pseudo) edges, the loops (the front end's intervals) over that
+numbering, and the FUNCTION result variable.
 :func:`build_shape` derives that once from the checked program;
 anything it cannot express raises :class:`LoweringError` so the
 pipeline can fall back to the reference interpreter.
@@ -15,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.cfg.graph import ControlFlowGraph, is_pseudo_label
+from repro.intervals import IntervalStructure
 from repro.lang import ast
 
 
@@ -56,12 +58,22 @@ class ProcShape:
     #: reference interpreter's dict-built dispatch table.
     edge_keys: list[tuple[int, str]] = field(default_factory=list)
     edge_index: dict[tuple[int, str], int] = field(default_factory=dict)
+    #: Dense loop header -> dense body (header included): the CFG's
+    #: interval members without the whole-procedure pseudo-interval.
+    loops: dict[int, set[int]] = field(default_factory=dict)
 
 
 def build_shape(
-    checked, name: str, cfg: ControlFlowGraph, index: int
+    checked,
+    name: str,
+    cfg: ControlFlowGraph,
+    index: int,
+    intervals: IntervalStructure,
 ) -> ProcShape:
-    """Derive one procedure's :class:`ProcShape` (raises LoweringError)."""
+    """Derive one procedure's :class:`ProcShape` (raises LoweringError).
+
+    ``intervals`` is the front end's interval structure of ``cfg``.
+    """
     unit = checked.unit
     proc = unit.procedures.get(name)
     if proc is None:
@@ -108,4 +120,11 @@ def build_shape(
         if not is_pseudo_label(edge.label)
     ]
     shape.edge_index = {key: i for i, key in enumerate(shape.edge_keys)}
+
+    dense = shape.dense
+    shape.loops = {
+        dense[header]: {dense[nid] for nid in body}
+        for header, body in intervals.members.items()
+        if header != intervals.root
+    }
     return shape

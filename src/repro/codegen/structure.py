@@ -3,14 +3,18 @@
 The emitter turns a statement-level CFG back into nested Python
 ``while``/``if`` blocks.  This module provides the graph facts that
 drive it, over the dense node indices of a
-:class:`~repro.codegen.shape.ProcShape`: reverse postorder, immediate
-dominators, natural loops merged per header with their exit targets,
-and *region* postdominators, the branch-join oracle.
+:class:`~repro.codegen.shape.ProcShape`: reverse postorder, the loops
+with their exit targets, and *region* postdominators, the branch-join
+oracle.
 
-Node splitting (:mod:`repro.cfg.reducibility`) makes every CFG
-reducible before it gets here, so every cycle enters through a
-natural-loop header.  The emitter works inside one region at a time:
-the whole procedure, or one loop body.  A branch joins at its
+The loops are not recomputed here.  Node splitting
+(:mod:`repro.cfg.reducibility`) makes every CFG reducible before it
+gets here, so every cycle enters through a natural-loop header, and
+the front end's interval structure (:mod:`repro.intervals`, the
+paper's Section 2 HDR tree) already holds each loop's body;
+:func:`~repro.codegen.shape.build_shape` maps those bodies onto dense
+indices once per procedure.  The emitter works inside one region at a
+time: the whole procedure, or one loop body.  A branch joins at its
 immediate postdominator *within its region*, computed on a graph in
 which
 
@@ -19,17 +23,14 @@ which
 * latches, and nodes left with no in-region successor, feed the
   virtual exit.
 
-At procedure level this is the ordinary postdominator tree.  Both the
-dominators and every region's postdominators come from the one
-Cooper–Harvey–Kennedy engine in :mod:`repro.cfg.dominance`.  The
-emitter keeps its own dense, optimize-pruned successor lists rather
-than the front end's interval structure, because a folded branch
-changes dominance.
+At procedure level this is the ordinary postdominator tree.  Every
+region's postdominators come from the Cooper–Harvey–Kennedy engine in
+:mod:`repro.cfg.dominance`.
 """
 
 from __future__ import annotations
 
-from repro.cfg.dominance import dominates, immediate_dominators
+from repro.cfg.dominance import immediate_dominators
 
 #: The virtual exit every region's postdominator tree is rooted at.
 _EXIT = -1
@@ -63,21 +64,26 @@ def _tree(order: list[int], preds, root: int) -> dict[int, int]:
 
 
 class FlowInfo:
-    """Derived control-flow facts over dense node indices."""
+    """Derived control-flow facts over dense node indices.
 
-    def __init__(self, succ: dict[int, list[int]], entry: int, terminals: set[int]):
+    ``loops`` maps each loop header to its body (header included),
+    one entry per header however many back edges target it.
+    """
+
+    def __init__(
+        self,
+        succ: dict[int, list[int]],
+        entry: int,
+        terminals: set[int],
+        loops: dict[int, set[int]],
+    ):
         self.succ = succ
         self.entry = entry
         self.terminals = terminals
-        self.rpo = _reverse_postorder(entry, lambda n: succ.get(n, ()))
-        self.reachable = set(self.rpo)
-        self.rpo_pos = {n: i for i, n in enumerate(self.rpo)}
-        self.pred: dict[int, list[int]] = {n: [] for n in self.rpo}
-        for n in self.rpo:
-            for d in succ.get(n, ()):
-                self.pred[d].append(n)
-        self.idom = _tree(self.rpo, self.pred.__getitem__, entry)
-        self.loops = self._natural_loops()
+        rpo = _reverse_postorder(entry, lambda n: succ.get(n, ()))
+        self.reachable = set(rpo)
+        rpo_pos = {n: i for i, n in enumerate(rpo)}
+        self.loops = loops
         #: Loop header -> its non-terminal exit targets in reverse
         #: postorder (the exit-code order).
         self.loop_exits = {
@@ -88,30 +94,11 @@ class FlowInfo:
                     for d in succ.get(n, ())
                     if d not in body and d not in terminals
                 },
-                key=self.rpo_pos.__getitem__,
+                key=rpo_pos.__getitem__,
             )
-            for h, body in self.loops.items()
+            for h, body in loops.items()
         }
         self._pdoms: dict[int | None, dict[int, int | None]] = {}
-
-    def _natural_loops(self) -> dict[int, set[int]]:
-        """Loop header -> body node set (header included), merged over
-        every back edge targeting the header."""
-        loops: dict[int, set[int]] = {}
-        for n in self.rpo:
-            for d in self.succ.get(n, ()):
-                if dominates(self.idom, d, n, self.entry):
-                    body = loops.setdefault(d, {d})
-                    # Walk predecessors from the latch, stopping at the
-                    # header.
-                    stack = [n]
-                    while stack:
-                        m = stack.pop()
-                        if m in body:
-                            continue
-                        body.add(m)
-                        stack.extend(self.pred[m])
-        return loops
 
     def postdominators(self, header: int | None) -> dict[int, int | None]:
         """Immediate postdominators within one region: the loop body of

@@ -4,9 +4,8 @@ The generic solver lives in :mod:`repro.dataflow.framework`; the four
 production analyses (reaching definitions, liveness, SCCP constants,
 value ranges) in :mod:`repro.dataflow.analyses`; scalar use/def
 extraction with interprocedural by-reference summaries in
-:mod:`repro.dataflow.usedef`; static FREQ/TIME/VAR interval bounds in
-:mod:`repro.dataflow.bounds`; and the codegen pruning planner in
-:mod:`repro.dataflow.optimize`.  See ``docs/dataflow.md``.
+:mod:`repro.dataflow.usedef`; and static FREQ/TIME/VAR interval bounds
+in :mod:`repro.dataflow.bounds`.  See ``docs/dataflow.md``.
 """
 
 from repro.dataflow.framework import (
@@ -34,11 +33,6 @@ from repro.dataflow.bounds import (
     compute_static_bounds,
     format_endpoint,
 )
-from repro.dataflow.optimize import (
-    OptimizationPlan,
-    ProcOptimizations,
-    plan_optimizations,
-)
 from repro.dataflow.usedef import (
     NodeFacts,
     ProcSummary,
@@ -56,9 +50,7 @@ __all__ = [
     "FixpointDiverged",
     "Liveness",
     "NodeFacts",
-    "OptimizationPlan",
     "ProcDataflow",
-    "ProcOptimizations",
     "ProcStaticBounds",
     "ProcSummary",
     "ReachingDefinitions",
@@ -71,7 +63,6 @@ __all__ = [
     "format_endpoint",
     "node_facts",
     "param_summaries",
-    "plan_optimizations",
     "solve",
     "solve_constants",
     "trip_interval",

@@ -22,7 +22,7 @@ statement-level CFG:
   coercion); anything that could raise at runtime degrades to BOTTOM
   instead of folding — a folded branch label claims only "if this
   node completes, it takes this edge", which is exactly what the
-  codegen optimizer needs;
+  REP307 constant-branch lint reports;
 * **value ranges** (forward, widening): per numeric scalar intervals,
   giving DO trip-count bounds for the static TIME/VAR envelopes.
 

@@ -136,9 +136,7 @@ def _fallback(reason: str) -> None:
     ).inc(reason=reason)
 
 
-def _select_backend(
-    program, hooks, backend: str, *, optimize: bool = False, model=None
-):
+def _select_backend(program, hooks, backend: str, *, model=None):
     """The engine to run with: ``(name, backend-or-None)``.
 
     ``auto`` (the default) prefers the codegen backend and steps down
@@ -152,11 +150,6 @@ def _select_backend(
     run; no other variant is emitted.  ``"codegen"`` forces
     the fast engine (raising :class:`LoweringError` instead of falling
     back) and ``"reference"`` forces the interpreter.
-
-    ``optimize=True`` asks the codegen backend to fold
-    dataflow-proven constant branches and drop dead stores before
-    emission.  Results are bit-identical either way, so the reference
-    interpreter, which ignores the flag, is still a valid fallback.
     """
     if backend == "reference":
         return "reference", None
@@ -172,7 +165,7 @@ def _select_backend(
             )
         _fallback("hooks")
         return "reference", None
-    engine = codegen_backend_for(program, optimize=optimize)
+    engine = codegen_backend_for(program)
     try:
         # Emits and compiles the run's variant (cached for the run).
         engine.emitted_source(getattr(hooks, "plan", None), model)
@@ -193,20 +186,15 @@ def run_program(
     hooks: ExecutionHooks | None = None,
     max_steps: int = 10_000_000,
     backend: str = "auto",
-    optimize: bool = False,
 ) -> RunResult:
     """Execute the program once.
 
     ``backend`` selects the execution engine: ``"auto"`` (codegen when
     possible, else reference — see :func:`_select_backend`),
     ``"codegen"`` or ``"reference"``.  Both engines produce
-    bit-identical results.  ``optimize=True`` lets the codegen backend
-    fold constant branches and drop dead stores (still bit-identical;
-    a no-op for the reference interpreter).
+    bit-identical results.
     """
-    chosen, engine = _select_backend(
-        program, hooks, backend, optimize=optimize, model=model
-    )
+    chosen, engine = _select_backend(program, hooks, backend, model=model)
     metrics.counter(
         "repro_runs_total",
         "Program executions by backend.",
@@ -318,7 +306,6 @@ def profile_program(
     record_loop_moments: bool = False,
     max_steps: int = 10_000_000,
     backend: str = "auto",
-    optimize: bool = False,
     mode: str = "counters",
 ) -> tuple[ProgramProfile, ProfileStats]:
     """Profile the program over one or more runs.
@@ -386,7 +373,6 @@ def profile_program(
                     hooks=hooks,
                     max_steps=max_steps,
                     backend=backend,
-                    optimize=optimize,
                     **spec,
                 )
             if mode == "paths":

@@ -1,26 +1,23 @@
 """The dataflow-engine lints: new codes and regression pins.
 
-Three kinds of pin:
+Two kinds of pin:
 
 * programs where the historical syntactic lints were *imprecise* and
-  the dataflow engine now finds (or correctly drops) a diagnostic —
-  the PR's migration contract;
-* the new REP306/307/308 codes firing on purpose-built programs and
-  staying silent on the clean corpus;
-* ``--lint-mode=syntactic`` preserving the old behavior bit-for-bit
-  for one release.
+  the dataflow engine now finds (or correctly drops) a diagnostic;
+* the REP306/307/308 codes firing on purpose-built programs and
+  staying silent on the clean corpus.
 """
 
 import pytest
 
-from repro.checker import LINT_MODES, Severity, check_source
+from repro.checker import Severity, check_source
 from repro.workloads import builtin_sources
 
 pytestmark = pytest.mark.checker
 
 
-def _codes(source, mode="dataflow", hints=True):
-    report = check_source(source, lint_mode=mode, hints=hints)
+def _codes(source, hints=True):
+    report = check_source(source, hints=hints)
     assert not report.has("REP001"), report.render_text()
     return report
 
@@ -95,7 +92,7 @@ PRUNED_NOT_AFTER_GOTO = """\
 """
 
 #: (d) X is defined inside a *guaranteed-taken* branch: defined on
-#: every feasible path, so neither mode may warn (no-regression pin).
+#: every feasible path, so the lint must not warn (no-regression pin).
 DEF_UNDER_TAKEN_GUARD = """\
       PROGRAM MAIN
       INTEGER N
@@ -133,6 +130,37 @@ CONSTANT_BRANCH = """\
       END
 """
 
+
+def _dead_first_store(prelude, rhs, target):
+    """``target = rhs`` overwritten before any read: liveness-dead."""
+    lines = ["PROGRAM MAIN", *prelude, f"{target} = {rhs}", f"{target} = 1"]
+    lines += [f"PRINT *, {target}", "STOP", "END"]
+    return "".join(f"      {line}\n" for line in lines)
+
+
+#: (source, reported?) — a liveness-dead store is REP306 only when
+#: evaluating its right-hand side provably cannot raise.
+DEAD_STORE_TOTALITY = {
+    "division": (
+        _dead_first_store(["INTEGER I, J", "J = 2"], "7 / J", "I"),
+        False,
+    ),
+    "array_load": (
+        _dead_first_store(["REAL A(3), X", "A(2) = 4.0"], "A(2)", "X"),
+        False,
+    ),
+    "real_from_integer": (
+        _dead_first_store(["INTEGER N", "REAL X", "N = 5"], "N", "X"),
+        False,
+    ),
+    "pure_integer": (
+        _dead_first_store(
+            ["INTEGER I, J, K", "J = 3", "K = 4"], "-J * K + 1 - J", "I"
+        ),
+        True,
+    ),
+}
+
 #: The loop's only exit edge tests N, and SCCP proves N stays 1: the
 #: exit is structurally present but never feasible.
 INFINITE_FEASIBLE_LOOP = """\
@@ -150,60 +178,51 @@ INFINITE_FEASIBLE_LOOP = """\
 
 class TestMigrationRegressionPins:
     def test_def_under_false_guard_now_warns(self):
-        assert _codes(DEF_UNDER_FALSE_GUARD, "dataflow").has("REP301")
-        assert not _codes(DEF_UNDER_FALSE_GUARD, "syntactic").has("REP301")
+        assert _codes(DEF_UNDER_FALSE_GUARD).has("REP301")
 
     def test_read_only_call_no_longer_suppresses(self):
-        assert _codes(READ_ONLY_CALL, "dataflow").has("REP301")
-        assert not _codes(READ_ONLY_CALL, "syntactic").has("REP301")
+        assert _codes(READ_ONLY_CALL).has("REP301")
 
     def test_writing_call_still_suppresses(self):
-        for mode in LINT_MODES:
-            assert not _codes(WRITING_CALL, mode).has("REP301")
+        assert not _codes(WRITING_CALL).has("REP301")
 
     def test_pruned_statement_now_reported(self):
-        report = _codes(PRUNED_NOT_AFTER_GOTO, "dataflow", hints=False)
+        report = _codes(PRUNED_NOT_AFTER_GOTO, hints=False)
         assert report.has("REP302")
         found = next(d for d in report.diagnostics if d.code == "REP302")
         assert found.severity is Severity.WARNING
-        assert not _codes(
-            PRUNED_NOT_AFTER_GOTO, "syntactic", hints=False
-        ).has("REP302")
 
     def test_taken_guard_def_stays_silent_in_both_modes(self):
-        for mode in LINT_MODES:
-            assert not _codes(DEF_UNDER_TAKEN_GUARD, mode).has("REP301")
-
-    def test_syntactic_mode_rejects_unknown_name(self):
-        with pytest.raises(ValueError):
-            check_source(DEAD_STORE, lint_mode="nonsense")
+        assert not _codes(DEF_UNDER_TAKEN_GUARD).has("REP301")
 
 
 class TestNewCodes:
     def test_dead_store_fires(self):
-        report = _codes(DEAD_STORE, "dataflow")
+        report = _codes(DEAD_STORE)
         found = [d for d in report.diagnostics if d.code == "REP306"]
         assert len(found) == 1
         assert "X" in found[0].message
         # Hints off: REP306 is an optimization hint, not a warning.
-        assert not _codes(DEAD_STORE, "dataflow", hints=False).has("REP306")
+        assert not _codes(DEAD_STORE, hints=False).has("REP306")
+
+    @pytest.mark.parametrize("case", sorted(DEAD_STORE_TOTALITY))
+    def test_dead_store_needs_a_total_rhs(self, case):
+        source, reported = DEAD_STORE_TOTALITY[case]
+        found = [d for d in _codes(source).diagnostics if d.code == "REP306"]
+        assert len(found) == int(reported), [d.message for d in found]
 
     def test_constant_branch_names_the_taken_arm(self):
-        report = _codes(CONSTANT_BRANCH, "dataflow")
+        report = _codes(CONSTANT_BRANCH)
         found = [d for d in report.diagnostics if d.code == "REP307"]
         assert len(found) == 1
         assert "'T'" in found[0].message
 
     def test_infinite_feasible_loop_warns(self):
-        report = _codes(INFINITE_FEASIBLE_LOOP, "dataflow", hints=False)
+        report = _codes(INFINITE_FEASIBLE_LOOP, hints=False)
         found = [d for d in report.diagnostics if d.code == "REP308"]
         assert len(found) == 1
         assert found[0].severity is Severity.WARNING
         assert not report.ok
-        # The syntactic mode has no equivalent check.
-        assert not _codes(
-            INFINITE_FEASIBLE_LOOP, "syntactic", hints=False
-        ).has("REP308")
 
 
 class TestCorpusStaysClean:
@@ -216,17 +235,3 @@ class TestCorpusStaysClean:
         # fire on the corpus; REP307 may fire only as a hint.
         assert not report.has("REP306")
         assert not report.has("REP308")
-
-    @pytest.mark.parametrize("name", [n for n, _ in builtin_sources()])
-    def test_modes_agree_on_warnings(self, name):
-        """Warning-level findings are mode-independent on the corpus."""
-        source = dict(builtin_sources())[name]
-        by_mode = {}
-        for mode in LINT_MODES:
-            report = check_source(
-                source, plan_kinds=("smart",), lint_mode=mode
-            )
-            by_mode[mode] = sorted(
-                (d.code, d.proc) for d in report.warnings
-            )
-        assert by_mode["dataflow"] == by_mode["syntactic"]

@@ -137,7 +137,13 @@ class TestEmission:
         for source in sources:
             program = compile_source(source)
             shapes = {
-                name: build_shape(program.checked, name, cfg, index)
+                name: build_shape(
+                    program.checked,
+                    name,
+                    cfg,
+                    index,
+                    program.ecfgs[name].intervals,
+                )
                 for index, (name, cfg) in enumerate(program.cfgs.items())
             }
             text, meta = emit_module(program.checked, program.cfgs, shapes)

@@ -148,7 +148,10 @@ def _observe_backend(backend, *, plan, model):
 
 def _emit(program, mutation):
     backend = CodegenBackend(
-        program.checked, program.cfgs, mutation=mutation
+        program.checked,
+        program.cfgs,
+        {name: ecfg.intervals for name, ecfg in program.ecfgs.items()},
+        mutation=mutation,
     )
     backend.ensure_lowered()
     return backend
