@@ -123,18 +123,21 @@ def analyze_program(
     *,
     loop_variance: LoopVarianceSpec = "zero",
     artifacts: dict[str, tuple[ExtendedCFG, FCDG]] | None = None,
+    call_graph: CallGraph | None = None,
     estimator: CostEstimator | None = None,
     recursion_max_iter: int = 200,
     recursion_tol: float = 1e-9,
 ) -> ProgramAnalysis:
     """Compute TIME and VAR for every procedure of a program.
 
-    ``artifacts`` may carry pre-built (ECFG, FCDG) pairs to avoid
+    ``artifacts`` may carry pre-built (ECFG, FCDG) pairs and
+    ``call_graph`` the program's pre-built call graph, to avoid
     recomputation; ``loop_variance`` selects the VAR(FREQ) model;
     ``estimator`` may replace the default table-driven COST estimator
     (anything with a compatible ``cfg_costs``).
     """
-    call_graph = build_call_graph(checked)
+    if call_graph is None:
+        call_graph = build_call_graph(checked)
     if estimator is None:
         estimator = CostEstimator(checked, model)
     analysis = ProgramAnalysis(

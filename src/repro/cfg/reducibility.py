@@ -83,28 +83,40 @@ def _forward_successors(
     return [e.dst for e in cfg.out_edges(node) if id(e) not in removed]
 
 
-def is_reducible(cfg: ControlFlowGraph) -> bool:
-    """True when the CFG is reducible.
+def reducible_back_edges(cfg: ControlFlowGraph) -> list[CFGEdge] | None:
+    """The natural-loop back edges, in edge order, or None when the CFG
+    is irreducible — on a fully reachable CFG, from one DFS and at most
+    one dominator tree.
 
     When every node is reachable this uses the single-DFS test: the
     graph is reducible iff every retreating edge's target dominates
     its source.  (Removing the retreating edges of any DFS leaves a
     DAG, so a forward cycle must contain a retreating non-back edge;
     conversely such an edge plus its spanning-tree path *is* a forward
-    cycle, because tree edges are never back edges.)  With unreachable
-    nodes retreating edges are undefined, so fall back to the explicit
-    cycle search.
+    cycle, because tree edges are never back edges.)  A back edge's
+    target is an ancestor of its source in every DFS tree, so on a
+    reducible graph the retreating edges are exactly the back edges.
+    With unreachable nodes retreating edges are undefined, so fall
+    back to the explicit cycle search.
     """
     dfs = depth_first_search(cfg, cfg.entry)
     if len(dfs.preorder) != len(cfg.nodes):
-        return forward_cycle(cfg) is None
+        return None if forward_cycle(cfg) is not None else back_edges(cfg)
     if not dfs.back_edges:
-        return True
+        return []
     idom = dominator_tree(cfg, dfs=dfs)
-    return all(
+    if not all(
         dominates(idom, edge.dst, edge.src, cfg.entry)
         for edge in dfs.back_edges
-    )
+    ):
+        return None
+    retreating = {id(edge) for edge in dfs.back_edges}
+    return [edge for edge in cfg.edges if id(edge) in retreating]
+
+
+def is_reducible(cfg: ControlFlowGraph) -> bool:
+    """True when the CFG is reducible (see :func:`reducible_back_edges`)."""
+    return reducible_back_edges(cfg) is not None
 
 
 def split_nodes(cfg: ControlFlowGraph, max_growth: int = _MAX_GROWTH) -> int:

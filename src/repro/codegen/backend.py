@@ -13,7 +13,11 @@ memoized too, so it is attempted once.
 Runs are bit-identical to the reference interpreter: same outputs,
 same error messages from the same program states, same float
 accumulation order for ``total_cost``/``counter_cost``, and identical
-counts/counter values.  Counter bumps write *directly* into the
+counts/counter values.  Ground-truth node/edge counts are kept by the
+plan-free variant alone, as the reference records them on plan-free
+runs alone; a profiled variant carries only the program and the
+plan's own counter or path-register updates.  Counter bumps write
+*directly* into the
 :class:`~repro.profiling.runtime.PlanExecutor`'s live arrays (the
 reference updates them per event too), so only ``updates`` needs a
 deferred flush.  A CodegenBackend is not reentrant: emitted functions
@@ -26,7 +30,7 @@ import hashlib
 import sys
 import time
 
-from repro.costs.estimate import CostEstimator
+from repro.costs.estimate import cost_tables
 from repro.errors import InterpreterError
 from repro.interp.intrinsics import IntrinsicRuntime
 from repro.interp.machine import RunResult, _ProgramHalt
@@ -78,6 +82,9 @@ class CodegenBackend:
     def _reset_compiled(self) -> None:
         self._shapes: dict[str, ProcShape] | None = None
         self._variants: dict[tuple, _Variant] = {}
+        #: ``(plan, model, variant)`` of the last variant looked up:
+        #: the same plan and model objects skip the content key.
+        self._last: tuple | None = None
         #: Variant key -> (model, LoweringError) for rejected variants.
         self._rejected: dict[tuple, tuple] = {}
         self._lower_error: LoweringError | None = None
@@ -172,13 +179,11 @@ class CodegenBackend:
             costs = None
             cu = None
             if model is not None:
-                estimator = CostEstimator(self.checked, model)
                 costs = {
-                    name: {
-                        nid: nc.local
-                        for nid, nc in estimator.cfg_costs(cfg, name).items()
-                    }
-                    for name, cfg in self.cfgs.items()
+                    name: {nid: nc.local for nid, nc in table.items()}
+                    for name, table in cost_tables(
+                        self.checked, self.cfgs, model
+                    ).tables.items()
                 }
                 cu = model.counter_update
             source, meta = emit_module(
@@ -223,6 +228,9 @@ class CodegenBackend:
     def _variant(self, plan, model) -> _Variant:
         """The compiled variant for ``(plan, model)``, emitted on first
         use; a rejected variant re-raises its memoized LoweringError."""
+        last = self._last
+        if last is not None and last[0] is plan and last[1] is model:
+            return last[2]
         self.ensure_lowered()
         key = (
             _plan_key(plan),
@@ -231,17 +239,20 @@ class CodegenBackend:
         # The strong model references held by variants and rejections
         # keep id(model) stable for their lifetime.
         variant = self._variants.get(key)
-        if variant is not None and (model is None or variant.model is model):
-            return variant
-        rejected = self._rejected.get(key)
-        if rejected is not None and rejected[0] is model:
-            raise rejected[1].with_traceback(None)
-        try:
-            return self._emit_variant(key, plan, model)
-        except LoweringError as exc:
-            self._rejected[key] = (model, exc)
-            _emits().inc(outcome="fallback")
-            raise
+        if variant is None or (
+            model is not None and variant.model is not model
+        ):
+            rejected = self._rejected.get(key)
+            if rejected is not None and rejected[0] is model:
+                raise rejected[1].with_traceback(None)
+            try:
+                variant = self._emit_variant(key, plan, model)
+            except LoweringError as exc:
+                self._rejected[key] = (model, exc)
+                _emits().inc(outcome="fallback")
+                raise
+        self._last = (plan, model, variant)
+        return variant
 
     # -- introspection (tests, --dump-source, REP4xx audit) ------------
 
@@ -262,7 +273,6 @@ class CodegenBackend:
         inputs: tuple[float, ...] = (),
         max_steps: int = 10_000_000,
         max_depth: int = 200,
-        record_counts: bool = True,
     ) -> RunResult:
         """Execute the main PROGRAM unit once (reference-identical)."""
         executor: PlanExecutor | None
@@ -287,13 +297,16 @@ class CodegenBackend:
         elif path_executor is not None:
             active_plan = path_executor.plan
         variant = self._variant(active_plan, model)
+        # Only the plan-free variant keeps ground-truth hit counts.
+        counted = active_plan is None
 
         for name in self._shapes:
             self._call_boxes[name][0] = 0
-            hits = self._node_hits[name]
-            hits[:] = [0] * len(hits)
-            hits = self._edge_hits[name]
-            hits[:] = [0] * len(hits)
+            if counted:
+                hits = self._node_hits[name]
+                hits[:] = [0] * len(hits)
+                hits = self._edge_hits[name]
+                hits[:] = [0] * len(hits)
         slots = self._slots_list
         for i in range(len(slots)):
             slots[i] = None
@@ -359,9 +372,12 @@ class CodegenBackend:
         result.counter_cost = self._ccost_box[0]
         for name, shape in self._shapes.items():
             calls = self._call_boxes[name][0]
+            result.call_counts[name] = calls
+            if not counted:
+                continue
             # A procedure that was never entered has all-zero hit
             # arrays; skip the filtering scans outright.
-            if record_counts and calls:
+            if calls:
                 result.node_counts[name] = {
                     nid: hits
                     for nid, hits in zip(
@@ -379,7 +395,6 @@ class CodegenBackend:
             else:
                 result.node_counts[name] = {}
                 result.edge_counts[name] = {}
-            result.call_counts[name] = calls
         if halted in ("end", "stop"):
             result.main_vars.update(self._main_vars_box[0])
         return result

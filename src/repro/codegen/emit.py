@@ -183,6 +183,10 @@ class ProcEmitter:
         self.procedures = checked.unit.procedures
         self.plan = plan_table  # ProcSlotTable or None
         self.paths = paths  # ProcPathPlan or None (exclusive with plan)
+        #: Ground-truth hit counts (``_h*``/``_e*``/``_blk*`` locals
+        #: flushed into ``_NH_*``/``_EH_*``) are kept by the plan-free
+        #: variant only: a profiled run's profile comes from its plan.
+        self.hits = plan_table is None and paths is None
         #: Original node id currently being emitted — the suspension
         #: marker the path-mode call-site guards record in partials.
         self.cur_nid = None
@@ -190,8 +194,8 @@ class ProcEmitter:
         self.cu = cu
         self.mutation = mutation
         self.meta = meta if meta is not None else EmitMeta()
-        # Basic-block fusion batches the step charge and the hit
-        # counters per straight-line run.  Disabled for mutated
+        # Basic-block fusion batches the step charge (and, plan-free,
+        # the hit counters) per straight-line run.  Disabled for mutated
         # emissions: a seeded miscompile must land in always-live
         # code, not in the cold budget-exhaustion replay.
         self.fuse = mutation is None
@@ -1098,8 +1102,9 @@ class ProcEmitter:
 
     def bk_node(self, k: int) -> None:
         self.bk_charge()
-        self.line(f"_h{k} += 1")
-        self.hits_used.add(k)
+        if self.hits:
+            self.line(f"_h{k} += 1")
+            self.hits_used.add(k)
         self.bk_cost(k)
 
     # -- fused straight-line blocks -------------------------------------
@@ -1157,27 +1162,20 @@ class ProcEmitter:
         return self.kind[k] in self._FUSE_BRANCH and not self._node_has_call(k)
 
     def begin_block(self, nodes: list[int], trailing_branch: bool) -> None:
-        """One step-budget charge and one hit counter for a whole
-        straight-line run.
+        """One step-budget charge (and, plan-free, one hit counter) for
+        a whole straight-line run.
 
-        The fast path charges ``len(nodes)`` steps up front and bumps a
-        single block counter; the ``finally`` flush credits every node
-        (and every interior unconditional edge) of the block with the
-        block count.  When the budget expires inside the block, a
-        slow-path replay re-executes the run node by node with the
-        reference's exact per-node checks, so the raised error — limit
-        or an earlier node's own failure — is identical.  Hit counts
-        can only over-count on runs that raise, and a raising run never
-        surfaces its counts.
+        The fast path charges ``len(nodes)`` steps up front.  In the
+        plan-free variant it also bumps a single block counter, and the
+        ``finally`` flush credits every node (and every interior
+        unconditional edge) of the block with the block count.  When
+        the budget expires inside the block, a slow-path replay
+        re-executes the run node by node with the reference's exact
+        per-node checks, so the raised error — limit or an earlier
+        node's own failure — is identical.  Hit counts can only
+        over-count on runs that raise, and a raising run never surfaces
+        its counts.
         """
-        j = len(self.blocks)
-        mids = nodes[:-1] if trailing_branch else nodes
-        fused_edges = []
-        for k in mids:
-            label, _d = self.succ_by_label[k][0]
-            nid = self.shape.node_ids[k]
-            fused_edges.append(self.shape.edge_index[(nid, label)])
-        self.blocks.append((list(nodes), fused_edges))
         n = len(nodes)
         if n == 1:
             self.bk_charge()
@@ -1196,7 +1194,16 @@ class ProcEmitter:
             # Unreachable: the last per-node charge above must raise.
             self.line("raise ILE('exceeded %d node executions' % _ms)")
             self.ind -= 1
-        self.line(f"_blk{j} += 1")
+        if not self.hits:
+            return
+        mids = nodes[:-1] if trailing_branch else nodes
+        fused_edges = []
+        for k in mids:
+            label, _d = self.succ_by_label[k][0]
+            nid = self.shape.node_ids[k]
+            fused_edges.append(self.shape.edge_index[(nid, label)])
+        self.line(f"_blk{len(self.blocks)} += 1")
+        self.blocks.append((list(nodes), fused_edges))
 
     def _slot_of(self, k: int) -> int | None:
         if self.plan is None:
@@ -1282,9 +1289,10 @@ class ProcEmitter:
 
     def bk_edge(self, k: int, label: str) -> None:
         nid = self.shape.node_ids[k]
-        eidx = self.shape.edge_index[(nid, label)]
-        self.line(f"_e{eidx} += 1")
-        self.edges_used.add(eidx)
+        if self.hits:
+            eidx = self.shape.edge_index[(nid, label)]
+            self.line(f"_e{eidx} += 1")
+            self.edges_used.add(eidx)
         self.bk_path_edge(k, label)
         if self.plan is None:
             return
@@ -1844,9 +1852,18 @@ class _Walker:
         pairs = pe.succ_by_label[n]
         for head, (label, d) in zip(pe._arm_heads(n, sel), pairs):
             pe.line(head)
+            mark = len(pe.buf)
             pe.ind += 1
             pe.bk_edge(n, label)
             self.arm(d, stack, join)
+            if len(pe.buf) == mark:
+                # An arm with no bookkeeping that falls to the join
+                # (profiled variants keep no hit counts): an empty
+                # ``else`` is dropped, any other arm says ``pass``.
+                if head == "else:":
+                    pe.buf.pop()
+                else:
+                    pe.line("pass")
             pe.ind -= 1
         return join
 

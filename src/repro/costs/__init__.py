@@ -8,12 +8,19 @@ the static estimator that assigns COST(u) to CFG nodes.
 """
 
 from repro.costs.model import MachineModel, OPTIMIZING_MACHINE, SCALAR_MACHINE
-from repro.costs.estimate import CostEstimator, node_cost
+from repro.costs.estimate import (
+    CostEstimator,
+    CostTables,
+    cost_tables,
+    node_cost,
+)
 
 __all__ = [
     "MachineModel",
     "SCALAR_MACHINE",
     "OPTIMIZING_MACHINE",
     "CostEstimator",
+    "CostTables",
+    "cost_tables",
     "node_cost",
 ]

@@ -18,6 +18,7 @@ hold exactly — the key cross-validation invariant of this repo.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from repro.errors import AnalysisError
@@ -276,6 +277,63 @@ _ZERO_COST_KINDS = frozenset(
         StmtKind.POSTEXIT,
     }
 )
+
+
+@dataclass(frozen=True, eq=False)
+class CostTables:
+    """Every procedure's :meth:`CostEstimator.cfg_costs` table for one
+    program's CFGs under one machine model — a drop-in ``estimator=``
+    for :func:`repro.analysis.analyze_program` over those CFGs."""
+
+    model: MachineModel
+    cfgs: dict[str, ControlFlowGraph]
+    tables: dict[str, dict[int, NodeCost]]
+
+    def cfg_costs(
+        self, cfg: ControlFlowGraph, proc_name: str
+    ) -> dict[int, NodeCost]:
+        return self.tables[proc_name]
+
+
+#: id(checked) -> (weak reference to checked, CostTables): one slot per
+#: live program, holding its tables for the last model asked for.  No
+#: strong reference to the program: the entry drops when it dies.
+_TABLES: dict[int, tuple[weakref.ref, CostTables]] = {}
+
+
+def cost_tables(
+    checked: CheckedProgram,
+    cfgs: dict[str, ControlFlowGraph],
+    model: MachineModel,
+) -> CostTables:
+    """The COST tables of a program's CFGs under ``model``, computed
+    once per program for its last model (or a model equal to it).
+
+    The codegen emitter and :func:`repro.pipeline.analyze` both read
+    them here, so a cold estimate computes them once; they live in
+    this module, never in a pickled program.
+    """
+    key = id(checked)
+    entry = _TABLES.get(key)
+    if entry is not None:
+        ref, tables = entry
+        if (
+            ref() is checked
+            and tables.cfgs is cfgs
+            and (tables.model is model or tables.model == model)
+        ):
+            return tables
+    estimator = CostEstimator(checked, model)
+    tables = CostTables(
+        model,
+        cfgs,
+        {name: estimator.cfg_costs(cfg, name) for name, cfg in cfgs.items()},
+    )
+    _TABLES[key] = (
+        weakref.ref(checked, lambda _ref: _TABLES.pop(key, None)),
+        tables,
+    )
+    return tables
 
 
 def node_cost(

@@ -28,12 +28,21 @@ class IntrinsicRuntime:
 
     ``IRAND``/``RAND`` draw from a seeded generator so that runs are
     reproducible; ``INPUT(i)`` reads the i-th element (1-based) of the
-    run's input vector, standing in for READ statements.
+    run's input vector, standing in for READ statements.  The
+    generator is seeded on first use, before the first draw: most
+    programs never draw, and seeding costs more than a short run.
     """
 
     def __init__(self, seed: int = 0, inputs: tuple[float, ...] = ()):
-        self.rng = random.Random(seed)
+        self.seed = seed
+        self._rng: random.Random | None = None
         self.inputs = tuple(inputs)
+
+    @property
+    def rng(self) -> random.Random:
+        if self._rng is None:
+            self._rng = random.Random(self.seed)
+        return self._rng
 
     def call(self, name: str, args: list, line: int | None = None):
         if name == "MOD":

@@ -34,6 +34,12 @@ class ExecutionHooks:
     performed; the interpreter charges ``counter_update`` cycles each.
     """
 
+    #: True for the hooks that execute a counter or path plan
+    #: (:class:`~repro.profiling.PlanExecutor`,
+    #: :class:`~repro.paths.PathExecutor`): the profile comes from the
+    #: plan, so their runs record no ground-truth node/edge counts.
+    plan_driven = False
+
     def on_node(self, proc: str, node_id: int, trip: int | None = None) -> int:
         return 0
 
@@ -50,9 +56,13 @@ class RunResult:
     counter_ops: int = 0
     counter_cost: float = 0.0
     steps: int = 0
-    #: Ground-truth per-procedure counts: node id -> executions.
+    #: Ground-truth per-procedure counts: node id -> executions.  Only
+    #: plan-free runs record them (no hooks, or hooks that are not
+    #: ``plan_driven``); a run driven by a counter or path plan leaves
+    #: this empty, on every engine.
     node_counts: dict[str, dict[int, int]] = field(default_factory=dict)
     #: Ground-truth per-procedure counts: (src, label) -> times taken.
+    #: Recorded on plan-free runs only, like ``node_counts``.
     edge_counts: dict[str, dict[tuple[int, str], int]] = field(
         default_factory=dict
     )
@@ -96,7 +106,6 @@ class Interpreter:
         inputs: tuple[float, ...] = (),
         max_steps: int = 10_000_000,
         max_depth: int = 200,
-        record_counts: bool = True,
     ):
         self.checked = checked
         self.cfgs = cfgs
@@ -105,7 +114,7 @@ class Interpreter:
         self.intrinsics = IntrinsicRuntime(seed=seed, inputs=inputs)
         self.max_steps = max_steps
         self.max_depth = max_depth
-        self.record_counts = record_counts
+        self.record_counts = not self.hooks.plan_driven
         self._costs: dict[str, dict[int, float]] = {}
         if model is not None:
             estimator = CostEstimator(checked, model)
@@ -142,8 +151,9 @@ class Interpreter:
     def _run(self) -> RunResult:
         result = RunResult()
         for name in self.cfgs:
-            result.node_counts[name] = {}
-            result.edge_counts[name] = {}
+            if self.record_counts:
+                result.node_counts[name] = {}
+                result.edge_counts[name] = {}
             result.call_counts[name] = 0
         main = self.checked.unit.main
         self._result = result
@@ -245,8 +255,9 @@ class Interpreter:
         name = frame.proc.name
         result.call_counts[name] += 1
         costs = self._costs.get(name)
-        node_counts = result.node_counts[name]
-        edge_counts = result.edge_counts[name]
+        record_counts = self.record_counts
+        node_counts = result.node_counts.get(name)
+        edge_counts = result.edge_counts.get(name)
         cfg = frame.cfg
         nodes = cfg.nodes
         dispatch = self._dispatch[name]
@@ -260,7 +271,7 @@ class Interpreter:
                 raise InterpreterLimitError(
                     f"exceeded {self.max_steps} node executions"
                 )
-            if self.record_counts:
+            if record_counts:
                 node_counts[node_id] = node_counts.get(node_id, 0) + 1
             if costs is not None:
                 result.total_cost += costs[node_id]
@@ -272,7 +283,7 @@ class Interpreter:
                 result.counter_cost += ops * counter_cost
             if label is None:
                 return  # reached the exit node
-            if self.record_counts:
+            if record_counts:
                 key = (node_id, label)
                 edge_counts[key] = edge_counts.get(key, 0) + 1
             ops = self.hooks.on_edge(name, node_id, label)

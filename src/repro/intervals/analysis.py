@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import AnalysisError, IrreducibleError
 from repro.cfg.graph import CFGEdge, ControlFlowGraph
-from repro.cfg.reducibility import back_edges, is_reducible
+from repro.cfg.reducibility import reducible_back_edges
 
 
 @dataclass
@@ -141,14 +141,15 @@ def compute_intervals(cfg: ControlFlowGraph) -> IntervalStructure:
     Raises IrreducibleError when the graph is irreducible — callers
     should run :func:`repro.cfg.split_nodes` first.
     """
-    if not is_reducible(cfg):
+    backs = reducible_back_edges(cfg)
+    if backs is None:
         raise IrreducibleError(
             f"{cfg.name or 'cfg'} is irreducible; apply node splitting first"
         )
     structure = IntervalStructure(cfg=cfg)
 
     grouped: dict[int, list[CFGEdge]] = {}
-    for edge in back_edges(cfg):
+    for edge in backs:
         grouped.setdefault(edge.dst, []).append(edge)
 
     loops: dict[int, set[int]] = {

@@ -29,6 +29,8 @@ from repro.paths.numbering import ProgramPathPlan
 class PathExecutor(ExecutionHooks):
     """Executes a program path plan's register updates during a run."""
 
+    plan_driven = True
+
     def __init__(self, plan: ProgramPathPlan):
         self.plan = plan
         #: proc -> {path id -> accumulated count}; sparse, floats to

@@ -22,6 +22,7 @@ from repro.cdg import FCDG, build_fcdg
 from repro.cfg.builder import build_program_cfgs
 from repro.cfg.graph import ControlFlowGraph
 from repro.cfg.reducibility import is_reducible, split_nodes
+from repro.costs.estimate import cost_tables
 from repro.costs.model import MachineModel, SCALAR_MACHINE
 from repro.ecfg import ExtendedCFG, build_ecfg
 from repro.codegen import LoweringError, codegen_backend_for
@@ -314,7 +315,10 @@ def profile_program(
     (``inputs=...``, ``seed=...``).  With the default ``plan=None``
     the optimized plan is built and executed; the returned profile is
     *reconstructed from its counters* — exactly what a production
-    deployment of the paper's scheme would see.  ``backend`` selects
+    deployment of the paper's scheme would see.  Each run is one call
+    of the module-level :func:`run_program`, driven by the plan's
+    executor, so it records no ground-truth node/edge counts (see
+    :class:`~repro.interp.RunResult`).  ``backend`` selects
     the execution engine per :func:`run_program`; loop-moment
     recording chains hooks, which only the reference interpreter
     drives, so ``auto`` falls back for those runs.
@@ -503,7 +507,13 @@ def analyze(
     loop_variance: LoopVarianceSpec = "zero",
     estimator=None,
 ) -> ProgramAnalysis:
-    """Run the TIME/VAR analysis against a profile."""
+    """Run the TIME/VAR analysis against a profile.
+
+    The call graph is the one :func:`compile_source` built, and the
+    COST tables are :func:`repro.costs.cost_tables`, shared with the
+    codegen variants emitted for the same model; a caller-supplied
+    ``estimator`` is used as given instead.
+    """
     with span("analyze"):
         return analyze_program(
             program.checked,
@@ -512,7 +522,12 @@ def analyze(
             model,
             loop_variance=loop_variance,
             artifacts=program.artifacts(),
-            estimator=estimator,
+            call_graph=program.call_graph,
+            estimator=(
+                estimator
+                if estimator is not None
+                else cost_tables(program.checked, program.cfgs, model)
+            ),
         )
 
 

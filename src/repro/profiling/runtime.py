@@ -20,6 +20,8 @@ from repro.profiling.placement import ProgramPlan
 class PlanExecutor(ExecutionHooks):
     """Executes the counter updates a plan prescribes."""
 
+    plan_driven = True
+
     def __init__(self, plan: ProgramPlan):
         self.plan = plan
         self.counters: dict[str, list[float]] = {

@@ -1,15 +1,25 @@
 """Unit tests for the interprocedural driver (rule 2 + recursion)."""
 
+import dataclasses
+import gc
+import pickle
+
 import pytest
 
 from repro import (
     analyze,
     compile_source,
     oracle_program_profile,
+    profile_program,
     run_program,
 )
-from repro.costs import SCALAR_MACHINE
+from repro.analysis import analyze_program
+from repro.codegen import codegen_backend_for
+from repro.costs import OPTIMIZING_MACHINE, SCALAR_MACHINE
+from repro.costs import estimate
+from repro.costs.estimate import CostEstimator, NodeCost, cost_tables
 from repro.errors import AnalysisError
+from repro.workloads import builtin_sources
 
 
 def analyzed(source, run_specs=({},), **kwargs):
@@ -132,3 +142,81 @@ class TestProgramAnalysisAccessors:
         profile = oracle_program_profile(program, runs=[{}])
         with pytest.raises(AnalysisError):
             analyze(program, profile, SCALAR_MACHINE, loop_variance="bogus")
+
+
+class TestSharedStaticWork:
+    """``pipeline.analyze`` reuses the compiled call graph and the
+    per-model COST tables; the result equals a from-scratch
+    ``analyze_program`` field for field, and nothing it caches is
+    pickled with the program."""
+
+    @pytest.mark.parametrize("name", [n for n, _ in builtin_sources()])
+    def test_equals_fresh_analysis(self, name):
+        program = compile_source(dict(builtin_sources())[name])
+        codegen_backend_for(program)  # the shell the artifact cache ships
+        shipped = len(pickle.dumps(program))
+        profile, _ = profile_program(
+            program, [{"seed": 1, "inputs": (2.25, 9.0, 16.0)}]
+        )
+        for model in (SCALAR_MACHINE, OPTIMIZING_MACHINE):
+            shared = analyze(program, profile, model)
+            fresh = analyze_program(
+                program.checked,
+                program.cfgs,
+                profile,
+                model,
+                artifacts=program.artifacts(),
+            )
+            assert shared.call_graph == fresh.call_graph
+            assert shared.procedures.keys() == fresh.procedures.keys()
+            for proc, want in fresh.procedures.items():
+                got = shared.procedures[proc]
+                for f in dataclasses.fields(want):
+                    assert getattr(got, f.name) == getattr(want, f.name), (
+                        proc,
+                        f.name,
+                    )
+        assert len(pickle.dumps(program)) == shipped
+
+    def test_tables_hold_one_slot_per_program(self):
+        """Fresh, equal models reuse the program's tables; another
+        model replaces them; the slot goes when the program does."""
+        program = compile_source(dict(builtin_sources())["paper"])
+        profile = oracle_program_profile(program, runs=[{}])
+        analyze(program, profile, SCALAR_MACHINE)
+        held = len(estimate._TABLES)
+        first = cost_tables(program.checked, program.cfgs, SCALAR_MACHINE)
+        for _ in range(5):
+            analyze(program, profile, dataclasses.replace(SCALAR_MACHINE))
+        assert len(estimate._TABLES) == held
+        again = dataclasses.replace(SCALAR_MACHINE)
+        assert cost_tables(program.checked, program.cfgs, again) is first
+        analyze(program, profile, OPTIMIZING_MACHINE)
+        assert len(estimate._TABLES) == held
+        key = id(program.checked)
+        del program, profile
+        gc.collect()
+        assert key not in estimate._TABLES
+
+    def test_caller_estimator_bypasses_the_tables(self):
+        program = compile_source(dict(builtin_sources())["paper"])
+        profile = oracle_program_profile(program, runs=[{}])
+        seen = []
+
+        class Doubled(CostEstimator):
+            def cfg_costs(self, cfg, proc_name):
+                seen.append(proc_name)
+                return {
+                    nid: NodeCost(2 * cost.local, cost.calls)
+                    for nid, cost in super().cfg_costs(cfg, proc_name).items()
+                }
+
+        base = analyze(program, profile, SCALAR_MACHINE)
+        doubled = analyze(
+            program,
+            profile,
+            SCALAR_MACHINE,
+            estimator=Doubled(program.checked, SCALAR_MACHINE),
+        )
+        assert seen == list(program.cfgs)
+        assert doubled.total_time == pytest.approx(2 * base.total_time)

@@ -8,8 +8,11 @@ from repro.cfg.reducibility import (
     back_edges,
     forward_cycle,
     is_reducible,
+    reducible_back_edges,
     split_nodes,
 )
+from repro.workloads import builtin_sources
+from repro.workloads.generators import ProgramGenerator
 from repro.workloads.unstructured import IRREDUCIBLE
 
 
@@ -71,6 +74,30 @@ class TestDetection:
         cfg.add_edge(a.id, a.id, "T")
         cfg.add_edge(a.id, b.id, "F")
         assert is_reducible(cfg)
+
+
+class TestSharedTraversal:
+    """``reducible_back_edges`` answers reducibility and lists the back
+    edges from one DFS; both answers match the separate definitions."""
+
+    def test_irreducible_is_none(self):
+        cfg, _ = irreducible_cfg()
+        assert reducible_back_edges(cfg) is None
+
+    def test_unreachable_node_falls_back_to_cycle_search(self):
+        cfg, ids = reducible_loop_cfg()
+        orphan = cfg.add_node(StmtKind.NOOP).id
+        cfg.add_edge(orphan, ids["h"], "U")
+        assert reducible_back_edges(cfg) == back_edges(cfg)
+
+    def test_matches_back_edges_on_corpus(self):
+        sources = [s for _, s in builtin_sources()] + [
+            ProgramGenerator(seed).source() for seed in range(40)
+        ]
+        for source in sources:
+            program = compile_source(source)
+            for cfg in program.cfgs.values():
+                assert reducible_back_edges(cfg) == back_edges(cfg)
 
 
 class TestNodeSplitting:

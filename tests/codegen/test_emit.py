@@ -176,7 +176,15 @@ class TestBackendShell:
         ]
         assert runs[0].outputs == runs[1].outputs
         assert runs[0].total_cost == runs[1].total_cost
-        assert runs[0].node_counts == runs[1].node_counts
+        # Plan-driven runs record no ground-truth counts; plan-free
+        # runs with the same seed compare them.
+        plain = [
+            engine.run(model=SCALAR_MACHINE, seed=0)
+            for engine in (backend, clone)
+        ]
+        assert plain[0].node_counts
+        assert plain[0].node_counts == plain[1].node_counts
+        assert plain[0].edge_counts == plain[1].edge_counts
 
     def test_rejects_foreign_hooks(self, loop_backend):
         program, backend = loop_backend

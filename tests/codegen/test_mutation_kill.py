@@ -115,34 +115,42 @@ def _program(workload: str):
     return _PROGRAMS[workload]
 
 
-def _observe_backend(backend, *, plan, model):
-    """A backend run's observable behaviour plus live counter state."""
-    executor = PlanExecutor(plan) if plan is not None else None
+def _observe_run(backend, *, model, hooks):
+    """One backend run's observable behaviour."""
     try:
         result = backend.run(
-            model=model, hooks=executor, seed=3, max_steps=10_000
+            model=model, hooks=hooks, seed=3, max_steps=10_000
         )
     except ReproError as exc:
-        observed = {"error": (type(exc).__name__, str(exc))}
+        return {"error": (type(exc).__name__, str(exc))}
     except Exception as exc:  # a miscompile may escape the taxonomy
-        observed = {"escaped": (type(exc).__name__, str(exc))}
-    else:
-        observed = {
-            "halted": result.halted,
-            "steps": result.steps,
-            "outputs": result.outputs,
-            "total_cost": repr(result.total_cost),
-            "counter_ops": result.counter_ops,
-            "counter_cost": repr(result.counter_cost),
-            "node_counts": result.node_counts,
-            "edge_counts": result.edge_counts,
-            "main_vars": result.main_vars,
-        }
+        return {"escaped": (type(exc).__name__, str(exc))}
+    return {
+        "halted": result.halted,
+        "steps": result.steps,
+        "outputs": result.outputs,
+        "total_cost": repr(result.total_cost),
+        "counter_ops": result.counter_ops,
+        "counter_cost": repr(result.counter_cost),
+        "node_counts": result.node_counts,
+        "edge_counts": result.edge_counts,
+        "main_vars": result.main_vars,
+    }
+
+
+def _observe_backend(backend, *, plan, model):
+    """A backend run's observable behaviour plus live counter state.
+
+    A plan-driven run records no ground-truth counts, so a plan-free
+    run with the same seed is observed alongside it for those."""
+    executor = PlanExecutor(plan) if plan is not None else None
+    observed = _observe_run(backend, model=model, hooks=executor)
     if executor is not None:
         observed["counters"] = {
             name: list(arr) for name, arr in executor.counters.items()
         }
         observed["updates"] = executor.updates
+        observed["plan_free"] = _observe_run(backend, model=model, hooks=None)
     return observed
 
 

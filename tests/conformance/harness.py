@@ -6,8 +6,11 @@ interpreter: same outputs, same error type and message raised at the
 same step, same node/edge/call counts, float-bit-exact ``total_cost``
 and ``counter_cost``, same live counter values and update tallies,
 and therefore bit-identical reconstructed ``FREQ``/``NODE_FREQ``/
-``TOTAL_FREQ``.  This module turns that contract into two reusable
-functions:
+``TOTAL_FREQ``.  Ground-truth node/edge counts come from plan-free
+runs only (a plan-driven run records none on either engine), so a
+profiled run's reconstructed profile is checked against the oracle
+profile of the plan-free reference run with the same seed and inputs.
+This module turns that contract into reusable functions:
 
 * :func:`observe` — one run's full observable behaviour as a plain
   dict (errors included), with floats pinned by ``repr`` so ``-0.0``
@@ -28,13 +31,14 @@ import os
 from repro import SCALAR_MACHINE, compile_source, smart_program_plan
 from repro.analysis.freq import compute_frequencies
 from repro.errors import ReproError
+from repro.interp import RunResult
 from repro.paths import (
     PathExecutor,
     path_program_plan,
     reconstruct_path_profile,
 )
 from repro.pipeline import run_program
-from repro.profiling import PlanExecutor, reconstruct_profile
+from repro.profiling import PlanExecutor, oracle_profile, reconstruct_profile
 from repro.workloads import builtin_sources
 from repro.workloads.generators import ProgramGenerator
 
@@ -211,6 +215,40 @@ def _compare_observations(reference: dict, candidates: dict, context: str):
         _diverge(backend, "observation", reference, observed, context)
 
 
+def assert_matches_oracle(program, profile, truth, context: str) -> None:
+    """A reconstructed profile equals ``oracle_profile(truth)``.
+
+    ``truth`` is the plan-free reference run (or its observation) with
+    the profiled run's seed and inputs.  Per procedure the invocation
+    counts must be equal, and every reconstructed branch and header
+    count must equal the oracle's, a missing oracle entry reading 0.0
+    (the oracle records ``U`` edges, reconstruction zero-valued arms).
+    """
+    if isinstance(truth, dict):
+        truth = RunResult(
+            node_counts=truth["node_counts"],
+            edge_counts=truth["edge_counts"],
+            call_counts=truth["call_counts"],
+        )
+    oracle = oracle_profile(truth, program.ecfgs)
+    for name in program.cfgs:
+        got = profile.proc(name)
+        want = oracle.proc(name)
+        assert got.invocations == want.invocations, (
+            f"{name}: reconstructed invocations {got.invocations} != "
+            f"oracle {want.invocations}{context}"
+        )
+        for table, truth_table in (
+            (got.branch_counts, want.branch_counts),
+            (got.header_counts, want.header_counts),
+        ):
+            for key, value in table.items():
+                assert value == truth_table.get(key, 0.0), (
+                    f"{name}: reconstructed {key} = {value} != oracle "
+                    f"{truth_table.get(key, 0.0)}{context}"
+                )
+
+
 def _dump_emitted(program, plan, model) -> None:
     """Save the codegen backend's emitted source for post-mortems.
 
@@ -311,6 +349,17 @@ def assert_conformance(
                 f"{backend} NODE_FREQ diverges in {name}"
             )
 
+    # 4. Reconstruction equals the plain reference run's ground truth.
+    #    A STOP inside an Opt-3 batched loop is the pinned exception:
+    #    the batch counted the full trip count (see
+    #    tests/paths/test_reconstruct.py::test_stop_mid_loop_beats_counters).
+    if profiled["reference"]["halted"] != "stop":
+        for backend in backends:
+            assert_matches_oracle(
+                program, profiles[backend], plain["reference"],
+                f" ({backend} counter profile vs plain reference run)",
+            )
+
 
 def observe_paths(program, backend: str, plan, **kwargs):
     """One path-profiled run's observable behaviour + path state.
@@ -387,6 +436,17 @@ def assert_path_conformance(
 
     if "error" in observations["reference"]:
         return  # identically-failing runs; no spectrum to reconstruct
+
+    # Every backend's spectrum reconstructs the ground truth of the
+    # plain reference run, STOP-halted runs included.
+    truth = run_program(program, backend="reference", model=model, **kwargs)
+    for backend, executor in executors.items():
+        assert_matches_oracle(
+            program,
+            reconstruct_path_profile(program, plan, executor, runs=1),
+            truth,
+            f" ({backend} path profile vs plain reference run)",
+        )
 
     # Cross-mode: the spectrum regenerates the counter-based profile.
     counter_plan = smart_program_plan(program)

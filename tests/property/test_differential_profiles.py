@@ -54,9 +54,12 @@ def _profiles(program, run_seed: int):
     naive = naive_program_plan(program)
     smart_exec = PlanExecutor(smart)
     naive_exec = PlanExecutor(naive)
-    # Same seed -> identical branch outcomes in every execution.
-    result = run_program(program, hooks=smart_exec, seed=run_seed)
+    # Same seed -> identical branch outcomes in every execution.  The
+    # interpreter's node counts come from the plan-free run: runs
+    # driven by a plan record none.
+    run_program(program, hooks=smart_exec, seed=run_seed)
     run_program(program, hooks=naive_exec, seed=run_seed)
+    result = run_program(program, seed=run_seed)
     return {
         "result": result,
         "smart_plan": smart,
