@@ -6,11 +6,21 @@ dependence graph."  This benchmark grows generated programs by an
 order of magnitude and checks that analysis latency grows roughly
 linearly with FCDG size (within a generous constant for Python-level
 noise and the small super-linear pieces: postdominators, closures).
+
+Counter placement (``smart_program_plan``) is timed over the same
+programs and recorded as ``placement.chunksN`` layers, ungated: its
+greedy Opt-2 drop test re-derives a closure per candidate counter, so
+it still grows faster than linearly.
 """
 
 from __future__ import annotations
 
-from repro import SCALAR_MACHINE, compile_source, oracle_program_profile
+from repro import (
+    SCALAR_MACHINE,
+    compile_source,
+    oracle_program_profile,
+    smart_program_plan,
+)
 from repro.analysis import (
     compute_frequencies, compute_times, compute_variances,
 )
@@ -67,23 +77,40 @@ def test_analysis_scales_linearly():
             passes, trials=TRIALS, warmup=1, label=label
         )
         per_node.append(layers[label].mean_ns / len(fcdg.nodes))
+
+        placement = f"placement.chunks{n_copies}"
+        layers[placement] = measure_callable(
+            lambda _trial: smart_program_plan(program),
+            trials=TRIALS,
+            warmup=1,
+            label=placement,
+        )
         rows.append(
             [
                 n_copies,
                 len(fcdg.nodes),
                 layers[label].mean_ns / 1e6,
                 per_node[-1] / 1e3,
+                layers[placement].mean_ns / 1e6,
+                layers[placement].mean_ns / len(fcdg.nodes) / 1e3,
             ]
         )
 
     publish(
         "analysis_scaling",
         format_table(
-            ["chunks", "FCDG nodes", "analysis ms", "us per node"],
+            [
+                "chunks",
+                "FCDG nodes",
+                "analysis ms",
+                "us per node",
+                "placement ms",
+                "placement us per node",
+            ],
             rows,
             title=(
-                "FREQ+TIME+VAR pass latency vs program size "
-                f"(mean of {TRIALS} trials)"
+                "FREQ+TIME+VAR pass and counter placement latency vs "
+                f"program size (mean of {TRIALS} trials)"
             ),
         ),
     )

@@ -9,7 +9,8 @@ from the artifacts and compare:
 
 * **REP201** — the full target measure set must lie in the rule
   closure of the measured counter set (the plan can reconstruct every
-  ``TOTAL_FREQ(u, l)`` symbolically);
+  ``TOTAL_FREQ(u, l)`` symbolically), by :meth:`RuleSet.closure`,
+  the engine placement and reconstruction also use;
 * **REP202** — every recorded derivation rule must be a genuine flow
   conservation law of the graphs: exec-sums are regenerated from the
   FCDG, Opt-2 complement/back-edge/exit sums from the ECFG and its
@@ -92,7 +93,7 @@ def _check_procedure_plan(program, name: str, plan) -> list[Diagnostic]:
 
     # REP201 last: with rules and registries individually validated,
     # the closure check certifies end-to-end reconstructibility.
-    closure = _fast_closure(plan.rules, plan.measured())
+    closure = plan.rules.closure(plan.measured())
     missing = [t for t in plan.targets if t not in closure]
     if missing:
         out.append(
@@ -104,44 +105,6 @@ def _check_procedure_plan(program, name: str, plan) -> list[Diagnostic]:
             )
         )
     return out
-
-
-def _fast_closure(rules: RuleSet, known: set) -> set:
-    """``RuleSet.closure`` with a dependency-indexed worklist.
-
-    Semantically identical to the library fixpoint, but O(rules +
-    resolutions) instead of O(rules × passes): the verifier runs a
-    closure per procedure per plan on every disk-cache hit, so this is
-    on the cache's hot path.
-    """
-    waiting: dict = {}  # dependency -> rules blocked on it
-    remaining: dict = {}  # rule index -> unresolved dependency count
-    resolved = set(known)
-    ready = []
-    for index, rule in enumerate(rules.rules):
-        # Inlined ``rule.dependencies()``: a measure term is a tuple,
-        # a literal term is a float.
-        deps = [
-            term
-            for _, term in rule.terms
-            if isinstance(term, tuple) and term not in resolved
-        ]
-        if not deps:
-            ready.append(rule.target)
-            continue
-        remaining[index] = len(deps)
-        for dep in deps:
-            waiting.setdefault(dep, []).append(index)
-    while ready:
-        measure = ready.pop()
-        if measure in resolved:
-            continue
-        resolved.add(measure)
-        for index in waiting.get(measure, ()):
-            remaining[index] -= 1
-            if remaining[index] == 0:
-                ready.append(rules.rules[index].target)
-    return resolved
 
 
 # ---------------------------------------------------------------------------

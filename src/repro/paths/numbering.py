@@ -2,7 +2,7 @@
 
 The counter plans of Section 3 measure *edges*; a path plan measures
 which *acyclic paths* execute, following Ball and Larus: remove the
-natural back edges (the interval machinery's ``back_edges`` — edges
+natural back edges (the intervals' ``loop_back_edges`` — edges
 whose target dominates their source), add a dummy edge ``ENTRY → h``
 for every loop header ``h`` and a dummy edge ``u → EXIT`` for every
 back edge ``u → h``, and number the paths of the resulting DAG with
@@ -36,8 +36,8 @@ from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
 from repro.cfg.graph import ControlFlowGraph
-from repro.cfg.reducibility import back_edges
 from repro.errors import ProfilingError
+from repro.intervals.analysis import IntervalStructure
 
 #: Width guard: a procedure whose DAG has more acyclic paths than this
 #: cannot be path-profiled (a real deployment keeps ``r`` in a machine
@@ -326,11 +326,14 @@ def _reverse_topological(
 
 
 def build_proc_path_plan(
-    cfg: ControlFlowGraph, *, max_paths: int = DEFAULT_MAX_PATHS
+    intervals: IntervalStructure, *, max_paths: int = DEFAULT_MAX_PATHS
 ) -> ProcPathPlan:
-    """Number the acyclic paths of one procedure's CFG."""
+    """Number the acyclic paths of ``intervals.cfg``."""
+    cfg = intervals.cfg
+    loop_backs = {e for es in intervals.loop_back_edges.values() for e in es}
+    # In CFG edge order, which the ``flushes`` table inherits.
     backs: dict[tuple[int, str], int] = {
-        (e.src, e.label): e.dst for e in back_edges(cfg)
+        (e.src, e.label): e.dst for e in cfg.edges if e in loop_backs
     }
     out, _headers = _ordered_dag_edges(cfg, backs)
     order = _reverse_topological(cfg, out)
@@ -408,8 +411,10 @@ def path_program_plan(program, *, max_paths: int = DEFAULT_MAX_PATHS) -> Program
     """Build the path plan for every procedure of a compiled program."""
     return ProgramPathPlan(
         plans={
-            name: build_proc_path_plan(cfg, max_paths=max_paths)
-            for name, cfg in program.cfgs.items()
+            name: build_proc_path_plan(
+                program.ecfgs[name].intervals, max_paths=max_paths
+            )
+            for name in program.cfgs
         }
     )
 

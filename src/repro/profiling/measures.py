@@ -14,12 +14,14 @@ tuples so they serialize and hash naturally:
   (naive plans only).
 
 A :class:`DerivedRule` states how a dropped measure is recovered from
-others; the reconstruction engine evaluates rules to a fixpoint.
+others.  :meth:`RuleSet.firing_order` is the one engine that decides
+which rules fire, and in which order, from a set of known measures.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import NamedTuple, Union
 
 Measure = tuple  # ("invoc",) | ("cond", u, l) | ("header", h) | ...
@@ -78,9 +80,6 @@ class DerivedRule(NamedTuple):
     terms: tuple[tuple[float, Term], ...]
     bias: float = 0.0
 
-    def dependencies(self) -> list[Measure]:
-        return [term for _, term in self.terms if isinstance(term, tuple)]
-
     def evaluate(self, values: dict[Measure, float]) -> float | None:
         """The rule's value, or None if a dependency is unresolved."""
         total = self.bias
@@ -103,22 +102,60 @@ class RuleSet:
     def add(self, rule: DerivedRule) -> None:
         self.rules.append(rule)
 
+    def firing_order(self, known: set[Measure]) -> list[int]:
+        """Indices of the rules :meth:`solve` fires from ``known``, in
+        its order: the one engine behind closure, reconstruction
+        schedules and the checker's REP201.
+
+        ``solve`` scans the rules in index order, pass after pass; this
+        replays that with one min-heap per pass.  A rule whose last
+        missing dependency rule ``i`` resolves joins the current pass if
+        its index is above ``i``, else the next one.  A rule whose
+        target is already resolved never fires.
+        """
+        rules = self.rules
+        resolved = set(known)
+        waiting: dict[Measure, list[int]] = {}  # dependency -> rules
+        missing: dict[int, int] = {}  # rule -> unresolved dependencies
+        current: list[int] = []  # ascending indices: already a heap
+        for index, rule in enumerate(rules):
+            deps = [
+                term
+                for _, term in rule.terms
+                if isinstance(term, tuple) and term not in resolved
+            ]
+            if not deps:
+                current.append(index)
+            else:
+                missing[index] = len(deps)
+            for dep in deps:
+                waiting.setdefault(dep, []).append(index)
+        later: list[int] = []
+        order: list[int] = []
+        while current:
+            index = heappop(current)
+            target = rules[index].target
+            if target not in resolved:
+                resolved.add(target)
+                order.append(index)
+                for other in waiting.get(target, ()):
+                    missing[other] -= 1
+                    if not missing[other]:
+                        heappush(current if other > index else later, other)
+            if not current:
+                current, later = later, []
+        return order
+
     def closure(self, known: set[Measure]) -> set[Measure]:
         """All measures derivable from ``known`` via the rules."""
+        rules = self.rules
         resolved = set(known)
-        changed = True
-        while changed:
-            changed = False
-            for rule in self.rules:
-                if rule.target in resolved:
-                    continue
-                if all(dep in resolved for dep in rule.dependencies()):
-                    resolved.add(rule.target)
-                    changed = True
+        resolved.update(rules[i].target for i in self.firing_order(known))
         return resolved
 
     def solve(self, values: dict[Measure, float]) -> dict[Measure, float]:
-        """Numerically resolve every derivable measure (fixpoint)."""
+        """Numerically resolve every derivable measure (fixpoint); the
+        naive reference the tests pin :meth:`firing_order` to."""
         resolved = dict(values)
         changed = True
         while changed:

@@ -18,9 +18,9 @@ Two families of plans:
     when the trip count is a compile-time constant, keep no counter.
 
 Every drop is validated symbolically: a counter is only removed when
-the full measure set remains derivable (see
-:class:`repro.profiling.measures.RuleSet.closure`), so reconstruction
-can never get stuck.
+the full measure set remains in :meth:`RuleSet.closure`, which reads
+:meth:`RuleSet.firing_order`, the engine reconstruction and the
+checker's REP201 also use, so reconstruction can never get stuck.
 """
 
 from __future__ import annotations

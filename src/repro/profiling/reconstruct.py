@@ -1,17 +1,17 @@
 """Reconstruction of full profiles from reduced counter sets.
 
 Given final counter values and the plan that produced them, resolve
-every dropped measure via the plan's derivation rules (a linear
-fixpoint, guaranteed to complete because placement validated the rule
-closure symbolically) and assemble a :class:`ProcedureProfile`.
+every dropped measure via the plan's derivation rules (guaranteed to
+complete because placement validated the rule closure symbolically)
+and assemble a :class:`ProcedureProfile`.
 
 Which rules fire, and in which order, depends only on *which* measures
-the counters provide — never on their numeric values — so the fixpoint
-search is done once per plan and cached as a
-:class:`ReconstructionSchedule`: the precomputed topological firing
-order of the rule-dependency DAG.  Replaying the schedule performs the
+the counters provide — never on their numeric values — so each plan
+takes its order once from :meth:`RuleSet.firing_order`, the engine
+placement and the checker also use, and caches it as a
+:class:`ReconstructionSchedule`.  Replaying the schedule performs the
 same float additions in the same order as :meth:`RuleSet.solve`, so
-results are bit-identical, without the per-call fixpoint scan.
+results are bit-identical, without a per-call fixpoint.
 """
 
 from __future__ import annotations
@@ -52,27 +52,16 @@ class ReconstructionSchedule:
 def reconstruction_schedule(plan: CounterPlan) -> ReconstructionSchedule:
     """The (cached) rule schedule of one procedure's plan.
 
-    Symbolically replays :meth:`RuleSet.solve`'s pass-ordered fixpoint
-    with the counter measures as the initially-known set, recording
-    the exact sequence in which rules first become evaluable.
+    :meth:`RuleSet.firing_order` with the counter measures as the known
+    set: the rules in the exact order :meth:`RuleSet.solve` fires them.
     """
     cached = getattr(plan, "_cached_schedule", None)
     if cached is not None:
         return cached
-    resolved = set(plan.counter_measures.values())
-    order: list[DerivedRule] = []
     rules = plan.rules.rules
-    changed = True
-    while changed:
-        changed = False
-        for rule in rules:
-            if rule.target in resolved:
-                continue
-            if all(dep in resolved for dep in rule.dependencies()):
-                order.append(rule)
-                resolved.add(rule.target)
-                changed = True
-    schedule = ReconstructionSchedule(tuple(order))
+    schedule = ReconstructionSchedule(
+        tuple(rules[i] for i in plan.rules.firing_order(plan.measured()))
+    )
     plan._cached_schedule = schedule
     return schedule
 
