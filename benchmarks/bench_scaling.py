@@ -11,6 +11,12 @@ Counter placement (``smart_program_plan``) is timed over the same
 programs and recorded as ``placement.chunksN`` layers, ungated: its
 greedy Opt-2 drop test re-derives a closure per candidate counter, so
 it still grows faster than linearly.
+
+Codegen emission of the smart-plan, scalar-model variant (shapes,
+emitted text and its ``compile()``, on a fresh backend each trial) is
+recorded as ``codegen.chunksN`` layers, and its per-node growth is
+gated under the same ceiling as the analysis passes: the emitted text
+must stay linear in the program.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from repro import (
 from repro.analysis import (
     compute_frequencies, compute_times, compute_variances,
 )
+from repro.codegen import CodegenBackend
 from repro.costs.estimate import CostEstimator
 from repro.report import format_table
 from repro.validate.measure import measure_callable
@@ -55,6 +62,7 @@ def test_analysis_scales_linearly():
     rows = []
     layers = {}
     per_node = []
+    emit_per_node = []
     for n_copies in SIZES:
         program = compile_source(_concatenate_program(n_copies))
         profile = oracle_program_profile(
@@ -85,6 +93,22 @@ def test_analysis_scales_linearly():
             warmup=1,
             label=placement,
         )
+
+        plan = smart_program_plan(program)
+        intervals = {n: e.intervals for n, e in program.ecfgs.items()}
+
+        def emit(_trial) -> str:
+            """One variant's emission on a backend with no variants
+            cached yet."""
+            backend = CodegenBackend(program.checked, program.cfgs, intervals)
+            return backend.emitted_source(plan, SCALAR_MACHINE)
+
+        codegen = f"codegen.chunks{n_copies}"
+        layers[codegen] = measure_callable(
+            emit, trials=TRIALS, warmup=1, label=codegen
+        )
+        emit_per_node.append(layers[codegen].mean_ns / len(fcdg.nodes))
+        lines = emit(0).count("\n")
         rows.append(
             [
                 n_copies,
@@ -93,6 +117,9 @@ def test_analysis_scales_linearly():
                 per_node[-1] / 1e3,
                 layers[placement].mean_ns / 1e6,
                 layers[placement].mean_ns / len(fcdg.nodes) / 1e3,
+                layers[codegen].mean_ns / 1e6,
+                emit_per_node[-1] / 1e3,
+                lines / len(fcdg.nodes),
             ]
         )
 
@@ -106,23 +133,32 @@ def test_analysis_scales_linearly():
                 "us per node",
                 "placement ms",
                 "placement us per node",
+                "emit ms",
+                "emit us per node",
+                "emitted lines per node",
             ],
             rows,
             title=(
-                "FREQ+TIME+VAR pass and counter placement latency vs "
-                f"program size (mean of {TRIALS} trials)"
+                "FREQ+TIME+VAR pass, counter placement and codegen "
+                f"emission latency vs program size (mean of {TRIALS} "
+                "trials)"
             ),
         ),
     )
     # Per-node cost must stay roughly flat from the smallest to the
-    # largest program (the linear-time claim).
+    # largest program (the linear-time claim), for emission too.
     enforce(
         record(
             "scaling",
             end_to_end={
                 "analysis.per_node_growth": gate(
                     per_node[-1] / per_node[0], LINEARITY_CEILING, "lower"
-                )
+                ),
+                "codegen.per_node_growth": gate(
+                    emit_per_node[-1] / emit_per_node[0],
+                    LINEARITY_CEILING,
+                    "lower",
+                ),
             },
             layers=layers,
         )

@@ -65,6 +65,13 @@ _MODELS = {
     "optimizing": OPTIMIZING_MACHINE,
 }
 
+#: Help for every ``--max-steps`` flag.
+_MAX_STEPS_HELP = (
+    "bound on node executions per run (default 10000000); checked at "
+    "loop back edges, calls and procedure exits, so a run past it "
+    "stops within one loop- and call-free stretch"
+)
+
 _LOOP_VARIANCE = {
     "zero": "zero",
     "profiled": "profiled",
@@ -1141,7 +1148,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--inputs", help="comma-separated INPUT() vector")
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--model", choices=sorted(_MODELS), default="scalar")
-    p_run.add_argument("--max-steps", type=int, default=10_000_000)
+    p_run.add_argument(
+        "--max-steps", type=int, default=10_000_000, help=_MAX_STEPS_HELP
+    )
     p_run.add_argument(
         "--backend", choices=list(BACKENDS), default="auto",
         help="execution engine (default: auto — codegen, falling back "
@@ -1278,7 +1287,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument(
         "--cache", help="artifact cache directory (omit: in-memory only)"
     )
-    p_batch.add_argument("--max-steps", type=int, default=10_000_000)
+    p_batch.add_argument(
+        "--max-steps", type=int, default=10_000_000, help=_MAX_STEPS_HELP
+    )
     p_batch.add_argument(
         "--verify", action="store_true",
         help="run the artifact verifier on every item before profiling",
@@ -1610,7 +1621,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--input-count", type=int, default=1,
         help="entries per drawn INPUT() vector (default 1)",
     )
-    p_validate.add_argument("--max-steps", type=int, default=10_000_000)
+    p_validate.add_argument(
+        "--max-steps", type=int, default=10_000_000, help=_MAX_STEPS_HELP
+    )
     p_validate.add_argument(
         "--calibrate", metavar="OUT",
         help="fit the cost model against the measurements and save the "

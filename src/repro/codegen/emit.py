@@ -8,6 +8,14 @@ constants folded, coercions inlined, and counter bumps emitted as
 ``slots[i] += 1.0`` (Opt-3 batched trip additions stay one add per
 loop entry).
 
+Steps are counted exactly, into the local ``_d`` (one ``_d += K`` per
+fused straight-line block), but the ``max_steps`` budget is a bound,
+not a stopping point: like the reference, emitted code checks it only
+when a loop back edge is taken (at the ``continue``, after the edge's
+bookkeeping), before a user call (before ``_d`` is flushed into the
+run's step box) and at a procedure's EXIT or STOP.  A run past its
+budget therefore raises within one acyclic stretch of one activation.
+
 There is one emission strategy, total on the reducible CFGs the front
 end guarantees: branches join at their region postdominators
 (:mod:`repro.codegen.structure`), a loop with several exit targets
@@ -141,7 +149,7 @@ class EmitMeta:
     mode: dict[str, str] = field(default_factory=dict)
     #: proc -> [(slot, kind, where)] in textual order, one entry per
     #: emitted ``slots[`` bump site (duplicates possible for inlined
-    #: terminals and for the slow-path replays of fused blocks).
+    #: terminals and tail-duplicated nodes).
     bumps: dict[str, list[tuple]] = field(default_factory=dict)
     #: proc -> original node ids reachable under the reference's
     #: last-wins dispatch (what the structured body covers).
@@ -194,11 +202,6 @@ class ProcEmitter:
         self.cu = cu
         self.mutation = mutation
         self.meta = meta if meta is not None else EmitMeta()
-        # Basic-block fusion batches the step charge (and, plan-free,
-        # the hit counters) per straight-line run.  Disabled for mutated
-        # emissions: a seeded miscompile must land in always-live
-        # code, not in the cold budget-exhaustion replay.
-        self.fuse = mutation is None
 
         self.buf: list[str] = []
         self.ind = 0
@@ -798,6 +801,7 @@ class ProcEmitter:
                 f"arity mismatch calling {name}: "
                 f"{len(arg_exprs)} args for {len(callee.params)} params"
             )
+        self.bk_limit()
         self.line("_s[0] += _d")
         self.line("_d = 0")
         self.line(f"_dchk({name!r})")
@@ -1079,6 +1083,10 @@ class ProcEmitter:
 
     def bk_charge(self) -> None:
         self.line("_d += 1")
+
+    def bk_limit(self) -> None:
+        """The step-budget check, emitted only where the reference
+        checks it: a taken loop back edge, a user call, an exit."""
         self.line("if _d > _b:")
         self.line("    raise ILE('exceeded %d node executions' % _ms)")
 
@@ -1162,38 +1170,19 @@ class ProcEmitter:
         return self.kind[k] in self._FUSE_BRANCH and not self._node_has_call(k)
 
     def begin_block(self, nodes: list[int], trailing_branch: bool) -> None:
-        """One step-budget charge (and, plan-free, one hit counter) for
-        a whole straight-line run.
+        """One step charge (and, plan-free, one hit counter) for a whole
+        straight-line run.
 
-        The fast path charges ``len(nodes)`` steps up front.  In the
-        plan-free variant it also bumps a single block counter, and the
+        The block charges ``len(nodes)`` steps up front and checks no
+        budget: a fused block holds no call, no back edge and no exit,
+        the only places either engine checks it.  In the plan-free
+        variant it also bumps a single block counter, and the
         ``finally`` flush credits every node (and every interior
-        unconditional edge) of the block with the block count.  When
-        the budget expires inside the block, a slow-path replay
-        re-executes the run node by node with the reference's exact
-        per-node checks, so the raised error — limit or an earlier
-        node's own failure — is identical.  Hit counts can only
-        over-count on runs that raise, and a raising run never surfaces
-        its counts.
+        unconditional edge) of the block with the block count.  Step
+        and hit counts can only over-count on runs that raise inside
+        the block, and a raising run never surfaces its counts.
         """
-        n = len(nodes)
-        if n == 1:
-            self.bk_charge()
-        else:
-            self.line(f"_d += {n}")
-            self.line("if _d > _b:")
-            self.ind += 1
-            self.line(f"_d -= {n}")
-            for pos, k in enumerate(nodes):
-                self.bk_charge()
-                self.bk_cost(k)
-                self.emit_action_body(k)
-                if pos < len(nodes) - 1 or not trailing_branch:
-                    label, _d2 = self.succ_by_label[k][0]
-                    self.bk_edge_slot(k, label)
-            # Unreachable: the last per-node charge above must raise.
-            self.line("raise ILE('exceeded %d node executions' % _ms)")
-            self.ind -= 1
+        self.line(f"_d += {len(nodes)}")
         if not self.hits:
             return
         mids = nodes[:-1] if trailing_branch else nodes
@@ -1310,10 +1299,13 @@ class ProcEmitter:
     # -- node actions ---------------------------------------------------
 
     def emit_terminal(self, k: int) -> None:
-        """EXIT or STOP, inlined at a predecessor."""
+        """EXIT or STOP, inlined at a predecessor.  Both check the
+        step budget: EXIT after its on_node bookkeeping, STOP (which
+        exits every active procedure) before settling its path."""
         self.bk_node(k)
         if self.kind[k] is StmtKind.STOP:
             # The reference raises inside _exec_node: no hooks fire.
+            self.bk_limit()
             if self.paths is not None:
                 # Settling the halted frame costs 0 updates (the run is
                 # over): a sink STOP's register is a complete path id,
@@ -1344,6 +1336,7 @@ class ProcEmitter:
             self.meta.path_sites[self.shape.name].append(
                 ("exit", self.shape.node_ids[k])
             )
+        self.bk_limit()
         shape = self.shape
         if shape.ret_slot is not None:
             rname = shape.proc.name
@@ -1756,6 +1749,8 @@ class _Walker:
         if r[0] == "terminal":
             pe.emit_terminal(r[1])
         elif r[0] == "continue":
+            # A taken back edge, its bookkeeping already emitted.
+            pe.bk_limit()
             pe.line("continue")
         elif r[0] == "exit":
             loop, code = r[1], r[2]
@@ -1790,7 +1785,7 @@ class _Walker:
                     n = self.loop(n, stack)
                     continue
             self._grow()
-            if self.pe.fuse and self.pe.fusable_mid(n):
+            if self.pe.fusable_mid(n):
                 n = self.block(n, stack, follow)
             else:
                 n = self.step(n, stack)

@@ -25,6 +25,7 @@ from repro.costs.estimate import CostEstimator
 from repro.costs.model import MachineModel
 from repro.interp.intrinsics import IntrinsicRuntime
 from repro.interp.values import Cell, ElementRef, FortranArray
+from repro.intervals import IntervalStructure
 
 
 class ExecutionHooks:
@@ -93,12 +94,29 @@ class _Frame:
 
 
 class Interpreter:
-    """Executes a program; see the package docstring for its roles."""
+    """Executes a program; see the package docstring for its roles.
+
+    ``intervals`` maps each procedure to the front end's
+    :class:`~repro.intervals.IntervalStructure` of its CFG.
+
+    Every executed node counts one step, and ``steps`` is exact, but
+    ``max_steps`` is a bound, not a stopping point.  The budget is
+    checked only when a loop back edge (``loop_back_edges``) is taken,
+    after that edge's hooks; before a user-procedure call; and at a
+    procedure's exit (after the EXIT node's hooks) or a STOP.  A run
+    past its budget therefore raises :class:`InterpreterLimitError`
+    within one acyclic stretch of a single procedure activation, and a
+    node's own error later in that stretch (a division by zero, say)
+    wins over the limit error.  A run that finishes never took more
+    than ``max_steps`` steps.  The codegen backend checks at the same
+    places, so both engines raise the same error in the same state.
+    """
 
     def __init__(
         self,
         checked: CheckedProgram,
         cfgs: dict[str, ControlFlowGraph],
+        intervals: dict[str, IntervalStructure],
         *,
         model: MachineModel | None = None,
         hooks: ExecutionHooks | None = None,
@@ -130,6 +148,16 @@ class Interpreter:
                 (edge.src, edge.label): edge.dst for edge in cfg.edges
             }
             for name, cfg in cfgs.items()
+        }
+        # Per-procedure loop back edges as (src, label): taking one is
+        # one of the three places the step budget is checked.
+        self._back: dict[str, frozenset[tuple[int, str]]] = {
+            name: frozenset(
+                (edge.src, edge.label)
+                for edges in intervals[name].loop_back_edges.values()
+                for edge in edges
+            )
+            for name in cfgs
         }
 
     # -- public API ------------------------------------------------------
@@ -184,6 +212,8 @@ class Interpreter:
     def _invoke(self, name: str, arg_exprs: list[ast.Expr], caller: _Frame):
         """Run procedure ``name``; returns its result Cell value for
         FUNCTIONs, None for SUBROUTINEs."""
+        if self._result.steps > self.max_steps:
+            raise self._limit_error()
         proc = self.checked.unit.procedures[name]
         cfg = self.cfgs[name]
         table = self.checked.tables[name]
@@ -261,16 +291,14 @@ class Interpreter:
         cfg = frame.cfg
         nodes = cfg.nodes
         dispatch = self._dispatch[name]
+        back = self._back[name]
+        max_steps = self.max_steps
         node_id = cfg.entry
         counter_cost = (
             self.model.counter_update if self.model is not None else 0.0
         )
         while True:
             result.steps += 1
-            if result.steps > self.max_steps:
-                raise InterpreterLimitError(
-                    f"exceeded {self.max_steps} node executions"
-                )
             if record_counts:
                 node_counts[node_id] = node_counts.get(node_id, 0) + 1
             if costs is not None:
@@ -281,16 +309,25 @@ class Interpreter:
             if ops:
                 result.counter_ops += ops
                 result.counter_cost += ops * counter_cost
-            if label is None:
-                return  # reached the exit node
+            if label is None:  # reached the exit node
+                if result.steps > max_steps:
+                    raise self._limit_error()
+                return
+            key = (node_id, label)
             if record_counts:
-                key = (node_id, label)
                 edge_counts[key] = edge_counts.get(key, 0) + 1
             ops = self.hooks.on_edge(name, node_id, label)
             if ops:
                 result.counter_ops += ops
                 result.counter_cost += ops * counter_cost
-            node_id = dispatch[(node_id, label)]
+            if result.steps > max_steps and key in back:
+                raise self._limit_error()
+            node_id = dispatch[key]
+
+    def _limit_error(self) -> InterpreterLimitError:
+        return InterpreterLimitError(
+            f"exceeded {self.max_steps} node executions"
+        )
 
     def _exec_node(
         self, node, frame: _Frame
@@ -341,6 +378,8 @@ class Interpreter:
             self._result.outputs.append(rendered)
             return LABEL_UNCOND, None
         if kind is StmtKind.STOP:
+            if self._result.steps > self.max_steps:
+                raise self._limit_error()
             raise _ProgramHalt()
         if kind is StmtKind.DO_INIT:
             trip = self._exec_do_init(node, frame)

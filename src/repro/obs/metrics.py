@@ -97,11 +97,38 @@ class Counter(_Metric):
         with self._lock:
             return self._values.get(self._key(labelvalues), 0.0)
 
+    def bind(self, **labelvalues) -> "BoundCounter":
+        """A handle on one label set: ``inc`` without re-validating and
+        re-keying the labels on every call.  Binding alone records no
+        series."""
+        return BoundCounter(self, self._key(labelvalues))
+
     def _snapshot(self) -> list[dict]:
         return [
             {"labels": dict(zip(self.labels, key)), "value": value}
             for key, value in sorted(self._values.items())
         ]
+
+
+class BoundCounter:
+    """One label set of a :class:`Counter` (see :meth:`Counter.bind`)."""
+
+    __slots__ = ("_counter", "_values", "_lock", "_key")
+
+    def __init__(self, counter: Counter, key: tuple[str, ...]):
+        self._counter = counter
+        self._values = counter._values
+        self._lock = counter._lock
+        self._key = key
+
+    def inc(self, amount: float = 1.0) -> None:
+        if amount < 0:
+            raise MetricError(
+                f"counter {self._counter.name!r} cannot decrease"
+            )
+        key = self._key
+        with self._lock:
+            self._values[key] = self._values.get(key, 0.0) + amount
 
 
 class Gauge(_Metric):
@@ -286,6 +313,41 @@ def set_registry(new: MetricsRegistry) -> MetricsRegistry:
 def counter(name: str, help: str = "",
             labels: tuple[str, ...] = ()) -> Counter:
     return registry().counter(name, help, labels)
+
+
+class CounterHandles:
+    """Bound handles on one counter of the *current* registry.
+
+    ``handles(*labelvalues)`` resolves the counter and binds the label
+    set once, then hands back the cached :class:`BoundCounter`; a
+    :func:`set_registry` swap is noticed on the next call, which
+    resolves afresh in the new registry.  For per-run hot paths, where
+    ``counter(...).inc(...)`` pays a registry lookup and a label check
+    on every call.
+    """
+
+    def __init__(self, name: str, help: str = "",
+                 labels: tuple[str, ...] = ()):
+        self.name = name
+        self.help = help
+        self.labels = tuple(labels)
+        # (registry, label values -> handle bound in that registry),
+        # swapped as one tuple so a handle never outlives its registry.
+        self._state: tuple = (None, {})
+
+    def __call__(self, *labelvalues) -> BoundCounter:
+        current = _REGISTRY
+        bound_in, handles = self._state
+        if bound_in is not current:
+            handles = {}
+            self._state = (current, handles)
+        handle = handles.get(labelvalues)
+        if handle is None:
+            handle = current.counter(self.name, self.help, self.labels).bind(
+                **dict(zip(self.labels, labelvalues))
+            )
+            handles[labelvalues] = handle
+        return handle
 
 
 def gauge(name: str, help: str = "", labels: tuple[str, ...] = ()) -> Gauge:

@@ -178,6 +178,13 @@ def _select_backend(program, hooks, backend: str, *, model=None):
     return "codegen", engine
 
 
+_RUNS_TOTAL = metrics.CounterHandles(
+    "repro_runs_total",
+    "Program executions by backend.",
+    labels=("backend",),
+)
+
+
 def run_program(
     program: CompiledProgram,
     *,
@@ -194,13 +201,17 @@ def run_program(
     possible, else reference — see :func:`_select_backend`),
     ``"codegen"`` or ``"reference"``.  Both engines produce
     bit-identical results.
+
+    ``max_steps`` bounds the run's node executions.  Both engines count
+    every step exactly but check the budget only at taken loop back
+    edges, before user calls and at procedure exits (EXIT or STOP), so
+    a run past its budget raises :class:`InterpreterLimitError` within
+    one acyclic stretch of one procedure activation.  A node's own
+    error later in that stretch wins over the limit error, on both
+    engines alike.
     """
     chosen, engine = _select_backend(program, hooks, backend, model=model)
-    metrics.counter(
-        "repro_runs_total",
-        "Program executions by backend.",
-        labels=("backend",),
-    ).inc(backend=chosen)
+    _RUNS_TOTAL(chosen).inc()
     if engine is not None:
         return engine.run(
             model=model,
@@ -212,6 +223,7 @@ def run_program(
     interpreter = Interpreter(
         program.checked,
         program.cfgs,
+        {name: ecfg.intervals for name, ecfg in program.ecfgs.items()},
         model=model,
         hooks=hooks,
         seed=seed,

@@ -3,9 +3,10 @@
 The conformance suite proves behavioural identity; these tests pin
 the *mechanism* — structured emission with basic-block fusion for
 every procedure of the builtins and a 500-program generator sweep
-(no dispatch loop, tail duplication under its growth bound), no zero
-cost adds, variant caching, the pickled cache shell, and the hooks
-contract.
+(no dispatch loop, tail duplication under its growth bound), step
+budget checks only at back edges, calls and exits (no replayed
+blocks), no zero cost adds, variant caching, the pickled cache shell,
+and the hooks contract.
 """
 
 import math
@@ -20,9 +21,11 @@ from repro import (
     compile_source,
     smart_program_plan,
 )
+from repro.cfg.graph import StmtKind
 from repro.codegen import UnsupportedHooksError, codegen_backend_for
 from repro.codegen.emit import _MAX_GROWTH, emit_module
 from repro.codegen.shape import build_shape
+from repro.lang import ast
 from repro.pipeline import paths_program_plan, run_program
 from repro.profiling import PlanExecutor
 from repro.workloads import builtin_sources
@@ -65,8 +68,8 @@ class TestEmission:
         assert "_n = 0" not in source  # no dispatch program counter
 
     def test_fused_blocks_batch_the_step_charge(self, loop_backend):
-        """Straight-line runs charge `_d += K` once, with a slow-path
-        replay guarding the step limit."""
+        """Straight-line runs charge `_d += K` once and check no
+        budget."""
         _program, backend = loop_backend
         source = backend.emitted_source()
         assert any(
@@ -151,6 +154,139 @@ class TestEmission:
             assert "_n = " not in text  # no dispatch program counter
             for name, count in meta.emitted_nodes.items():
                 assert count <= _MAX_GROWTH * len(meta.reachable[name])
+
+
+@pytest.fixture(scope="module")
+def builtin_variants():
+    """Every builtin's plan-free, smart-counters and paths variants,
+    costed, as ``(label, program, backend, plan, source)``."""
+    variants = []
+    for name, source in builtin_sources():
+        program = compile_source(source)
+        backend = codegen_backend_for(program)
+        plans = {
+            "plan-free": None,
+            "counters": smart_program_plan(program),
+            "paths": paths_program_plan(program),
+        }
+        for kind, plan in plans.items():
+            text = backend.emitted_source(plan, SCALAR_MACHINE)
+            variants.append((f"{name}/{kind}", program, backend, plan, text))
+    return variants
+
+
+def _proc_bodies(text: str) -> dict[str, list[str]]:
+    """Emitted procedure name -> its body lines, up to the ``finally``
+    flush."""
+    bodies: dict[str, list[str]] = {}
+    current = None
+    for line in text.splitlines():
+        if line.startswith("def P_"):
+            current = bodies.setdefault(line[6 : line.index("(")], [])
+        elif line == "    finally:":
+            current = None
+        elif current is not None:
+            current.append(line.strip())
+    return bodies
+
+
+def _check_sites(program, name: str) -> int:
+    """Taken back edges + user call sites + exit sites of one
+    procedure's CFG; EXIT and STOP are inlined at each incoming edge,
+    so each such edge is one exit site."""
+    cfg = program.cfgs[name]
+    intervals = program.ecfgs[name].intervals
+    backs = sum(len(edges) for edges in intervals.loop_back_edges.values())
+    procedures = program.checked.unit.procedures
+    table = program.checked.tables[name]
+    calls = 0
+    for node in cfg.nodes.values():
+        if node.kind is StmtKind.CALL:
+            calls += 1
+        if node.cond is not None:
+            exprs = [node.cond]
+        elif node.kind in (
+            StmtKind.ASSIGN, StmtKind.PRINT, StmtKind.DO_INIT, StmtKind.CALL
+        ):
+            exprs = list(ast.stmt_expressions(node.stmt))
+        else:
+            exprs = []
+        for expr in exprs:
+            for sub in ast.walk_expr(expr):
+                if isinstance(sub, ast.FuncCall) and sub.name in procedures:
+                    info = table.lookup(sub.name)
+                    calls += info is None or not info.is_array
+    terminals = {
+        nid
+        for nid, node in cfg.nodes.items()
+        if node.kind in (StmtKind.EXIT, StmtKind.STOP)
+    }
+    exits = sum(
+        1 for e in cfg.edges if e.dst in terminals and not e.is_pseudo
+    )
+    return backs + calls + exits
+
+
+class TestStepBudgetChecks:
+    """``max_steps`` is a bound: emitted code counts every step but
+    checks the budget only at taken back edges, calls and exits."""
+
+    GUARD = "if _d > _b:"
+
+    def test_no_variant_replays_a_block(self, builtin_variants):
+        for label, _program, _backend, _plan, text in builtin_variants:
+            assert "_d -= " not in text, label
+
+    def test_guards_sit_only_at_back_edges_calls_and_exits(
+        self, builtin_variants
+    ):
+        """Each guard precedes a ``continue`` (a taken back edge), the
+        flush before a user call, or an EXIT/STOP; every ``continue``
+        and every call flush is guarded."""
+        after_guard = ("continue", "_s[0] += _d", "return", "raise _HALT()")
+        stop_paths = ("_pp[_pr] = ", "_PSB[0].append(")
+        for label, _program, _backend, _plan, text in builtin_variants:
+            for name, body in _proc_bodies(text).items():
+                for i, line in enumerate(body):
+                    if line == self.GUARD:
+                        assert body[i + 1].startswith("raise ILE(")
+                        nxt = body[i + 2]
+                        assert nxt.startswith(after_guard + stop_paths), (
+                            f"{label} {name}: guard before {nxt!r}"
+                        )
+                    elif line in ("continue", "_s[0] += _d"):
+                        assert body[i - 2] == self.GUARD, (
+                            f"{label} {name}: unguarded {line!r}"
+                        )
+
+    def test_guards_at_most_back_edges_calls_and_exits(
+        self, builtin_variants
+    ):
+        """Per procedure, guards <= back edges + call sites + exits.
+
+        Tail duplication (a node reached again away from a join)
+        re-emits its sites; the bound is checked on every procedure
+        that emits each node once, which is all but one builtin
+        procedure."""
+        checked = 0
+        for label, program, backend, plan, text in builtin_variants:
+            meta = backend.emit_meta(plan, SCALAR_MACHINE)
+            for name, body in _proc_bodies(text).items():
+                cfg = program.cfgs[name]
+                nonterminal = {
+                    nid
+                    for nid in meta.reachable[name]
+                    if cfg.nodes[nid].kind
+                    not in (StmtKind.EXIT, StmtKind.STOP)
+                }
+                if meta.emitted_nodes[name] != len(nonterminal):
+                    continue  # tail-duplicated
+                checked += 1
+                guards = body.count(self.GUARD)
+                assert guards <= _check_sites(program, name), (
+                    f"{label} {name}: {guards} guards"
+                )
+        assert checked >= 3 * 30
 
 
 class TestBackendShell:

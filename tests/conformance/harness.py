@@ -2,8 +2,9 @@
 
 Every execution backend is only allowed to exist because it is
 *observationally identical* to the tree-walking reference
-interpreter: same outputs, same error type and message raised at the
-same step, same node/edge/call counts, float-bit-exact ``total_cost``
+interpreter: same outputs, same error type and message (a step-limit
+error raised at the same back edge, call or exit), same node/edge/call
+counts, float-bit-exact ``total_cost``
 and ``counter_cost``, same live counter values and update tallies,
 and therefore bit-identical reconstructed ``FREQ``/``NODE_FREQ``/
 ``TOTAL_FREQ``.  Ground-truth node/edge counts come from plan-free

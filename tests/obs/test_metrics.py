@@ -8,6 +8,7 @@ import pytest
 from repro.obs import MetricsRegistry, set_registry
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
+    CounterHandles,
     MetricError,
     registry as global_registry,
 )
@@ -43,6 +44,52 @@ class TestCounter:
             c.inc()  # missing label
         with pytest.raises(MetricError):
             c.inc(tier="x", extra="y")
+
+
+class TestBoundCounter:
+    def test_bound_inc_matches_labelled_inc(self):
+        bound, labelled = (
+            MetricsRegistry().counter("runs", labels=("backend",))
+            for _ in range(2)
+        )
+        handle = bound.bind(backend="codegen")
+        for _ in range(3):
+            handle.inc()
+            labelled.inc(backend="codegen")
+        assert bound._snapshot() == labelled._snapshot()
+
+    def test_binding_records_no_series(self):
+        reg = MetricsRegistry()
+        reg.counter("runs", labels=("backend",)).bind(backend="codegen")
+        assert reg.snapshot()["runs"]["values"] == []
+
+    def test_bound_counter_cannot_decrease(self):
+        handle = MetricsRegistry().counter("hits").bind()
+        with pytest.raises(MetricError):
+            handle.inc(-1)
+
+    def test_bind_checks_labels(self):
+        with pytest.raises(MetricError):
+            MetricsRegistry().counter("runs", labels=("backend",)).bind()
+
+    def test_handles_follow_a_registry_swap(self, fresh_registry):
+        handles = CounterHandles("runs", "Runs.", labels=("backend",))
+        handles("codegen").inc()
+        assert handles("codegen") is handles("codegen")
+        swapped = MetricsRegistry()
+        old = set_registry(swapped)
+        try:
+            handles("codegen").inc()
+            handles("codegen").inc()
+        finally:
+            set_registry(old)
+        handles("reference").inc()
+        assert swapped.counter("runs", labels=("backend",)).value(
+            backend="codegen"
+        ) == 2
+        runs = fresh_registry.counter("runs", labels=("backend",))
+        assert runs.value(backend="codegen") == 1
+        assert runs.value(backend="reference") == 1
 
 
 class TestGauge:

@@ -112,8 +112,8 @@ def test_codegen_emits_one_bump_site_per_planned_site(source, inputs):
     """The emitted text carries exactly the plan's update sites.
 
     `meta.bumps` records every `slots[i] += ...` line the emitter
-    wrote; deduplicated (a fused block's slow-path replay restates its
-    sites textually) the set must match the lowered slot tables
+    wrote; deduplicated (inlined terminals and tail-duplicated nodes
+    restate their sites textually) the set must match the lowered slot tables
     one-for-one — §3.3's "cost = number of planted counters" claim,
     checked against the generated code itself.
     """
