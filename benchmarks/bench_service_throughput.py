@@ -7,16 +7,17 @@ same repeat-heavy workload:
 
 * **baseline** — ``max_batch=1``: every request is its own engine
   invocation, the serving shape the service replaces;
-* **batched** — ``max_batch=32`` with a 2 ms linger: requests
-  that arrive together ride one engine invocation, and identical
+* **batched** — ``max_batch=32``: the flusher takes whatever is
+  pending whenever it is free, so requests that arrive while a flush
+  runs ride the next engine invocation together, and identical
   requests (same source, plan, run specs — deterministic, so results
   are interchangeable) are coalesced singleflight-style into a single
   batch item whose result fans out to every waiter.
 
-Each row also names the batcher's layers: ``linger`` is the share of
-a flush cycle spent before the engine starts (the oldest request's
-wait, read from the flush histograms).  At c=1 that wait is pure
-linger, which is why the batched server loses to the baseline there.
+Each row also names the batcher's layers: ``wait`` is the share of a
+flush cycle spent before the engine starts (the oldest request's
+queue wait, read from the flush histograms).  At c=1 nothing else is
+pending, so both servers flush each request as soon as it arrives.
 
 The workload models serving traffic: many clients hammering a hot
 working set — a few programs under a few deterministic run
@@ -69,9 +70,9 @@ ACCEPTANCE_SPEEDUP = 2.0
 TRIALS = 1
 
 #: The batcher's own histograms, read from this process's registry:
-#: how long the oldest request of a flush waited before the engine
-#: started (queue + linger), and the engine time per flush.
-LINGER, FLUSH = "repro_flush_linger_seconds", "repro_flush_seconds"
+#: how long the oldest request of a flush waited in the queue before
+#: the engine started, and the engine time per flush.
+WAIT, FLUSH = "repro_flush_linger_seconds", "repro_flush_seconds"
 
 
 def _workload(
@@ -128,8 +129,8 @@ def _run_closed_loop(
 
 
 def _flush_totals() -> list[float]:
-    linger, flush = registry().get(LINGER), registry().get(FLUSH)
-    return [linger.sum(), flush.sum(), flush.count()]
+    wait, flush = registry().get(WAIT), registry().get(FLUSH)
+    return [wait.sum(), flush.sum(), flush.count()]
 
 
 def _load_row(label, port, concurrency, tasks, rows, layers) -> float:
@@ -154,10 +155,10 @@ def _load_row(label, port, concurrency, tasks, rows, layers) -> float:
     layers[f"service.request.{name}"] = Measurement(
         label=f"service.request.{name}", samples_ns=latencies
     )
-    linger_share = "-"  # no flush ran in this process
+    wait_share = "-"  # no flush ran in this process
     if count:
-        linger_share = f"{100 * waited / (waited + busy):.0f}%"
-        for layer, total in (("linger", waited), ("flush", busy)):
+        wait_share = f"{100 * waited / (waited + busy):.0f}%"
+        for layer, total in (("wait", waited), ("flush", busy)):
             layers[f"service.{layer}.{name}"] = {
                 "count": count,
                 "sum_ns": total * 1e9,
@@ -168,20 +169,20 @@ def _load_row(label, port, concurrency, tasks, rows, layers) -> float:
     p50, p95 = (ordered[int(q * len(ordered))] / 1e6 for q in (0.5, 0.95))
     rows.append(
         [label, concurrency, len(ordered), f"{rate:.1f}", f"{p50:.1f}",
-         f"{p95:.1f}", linger_share]
+         f"{p95:.1f}", wait_share]
     )
     return rate
 
 
 HEADERS = ["configuration", "conc", "reqs", "req/s", "p50 ms", "p95 ms",
-           "linger"]
+           "wait"]
 
 
 def test_micro_batching_beats_request_per_batch():
     tasks = _workload(N_PROGRAMS, REQUESTS_PER_LEVEL, N_SEEDS, max_stmts=3)
     configs = {
-        "baseline": ServiceConfig(max_batch=1, linger=0.0),
-        "batched": ServiceConfig(max_batch=32, linger=0.002),
+        "baseline": ServiceConfig(max_batch=1),
+        "batched": ServiceConfig(max_batch=32),
     }
     rows = []
     layers = {}
@@ -263,15 +264,12 @@ def test_sharded_workers_scale_throughput(tmp_path):
         workers=SHARD_WORKERS,
         worker=ServiceConfig(
             db=str(tmp_path / "profiles.json"),
-            linger=0.001,
             request_timeout=120.0,
         ),
     )
     rows = []
     layers = {}
-    with ServiceThread(
-        ServiceConfig(linger=0.001, request_timeout=120.0)
-    ) as single:
+    with ServiceThread(ServiceConfig(request_timeout=120.0)) as single:
         single_rate = _load_row(
             "1-worker", single.port, SHARD_CONCURRENCY, tasks, rows, layers
         )
@@ -316,9 +314,7 @@ def test_sharded_workers_scale_throughput(tmp_path):
 def test_overload_sheds_load_without_losing_accepted_ingests(tmp_path):
     """Fill a tiny admission queue; 429s shed load, accepted work lands."""
     db_path = tmp_path / "profiles.json"
-    config = ServiceConfig(
-        db=str(db_path), max_batch=4, linger=0.05, queue_limit=4
-    )
+    config = ServiceConfig(db=str(db_path), max_batch=4, queue_limit=4)
     accepted = []
     rejected = []
     lock = threading.Lock()

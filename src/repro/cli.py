@@ -947,7 +947,6 @@ def _cmd_serve(args) -> int:
         db=args.db,
         cache=args.cache,
         max_batch=args.max_batch,
-        linger=args.linger_ms / 1000.0,
         queue_limit=args.queue_limit,
         request_timeout=args.timeout,
         max_steps_cap=args.max_steps_cap,
@@ -970,8 +969,7 @@ def _cmd_serve(args) -> int:
             print(
                 f"repro service on http://{args.host}:{door.port} "
                 f"[workers={args.workers} db={db} "
-                f"max_batch={args.max_batch} "
-                f"linger={args.linger_ms}ms queue={args.queue_limit}]",
+                f"max_batch={args.max_batch} queue={args.queue_limit}]",
                 file=sys.stderr,
                 flush=True,
             )
@@ -986,7 +984,7 @@ def _cmd_serve(args) -> int:
         print(
             f"repro service on http://{args.host}:{service.port} "
             f"[db={db} max_batch={args.max_batch} "
-            f"linger={args.linger_ms}ms queue={args.queue_limit}]",
+            f"queue={args.queue_limit}]",
             file=sys.stderr,
             flush=True,
         )
@@ -1364,11 +1362,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--max-batch", type=int, default=16,
-        help="flush a micro-batch at this many pending requests",
-    )
-    p_serve.add_argument(
-        "--linger-ms", type=float, default=2.0,
-        help="max time a request waits for its micro-batch to fill",
+        help="most pending requests one micro-batch flush takes",
     )
     p_serve.add_argument(
         "--queue-limit", type=int, default=128,

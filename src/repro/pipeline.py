@@ -396,6 +396,8 @@ def profile_program(
                 # backends settle their own state, leaving this a
                 # no-op on their runs.
                 executor.finalize_run()
+            if recorder is not None:
+                recorder.finalize_run()
             stats.base_cost += result.total_cost
             stats.counter_cost += result.counter_cost
         stats.counter_updates = executor.updates

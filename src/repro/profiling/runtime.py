@@ -74,7 +74,10 @@ class LoopMomentRecorder(ExecutionHooks):
     """Records Σ(iterations per entry)² for every loop.
 
     Iterations are counted as header executions; a loop entry's count
-    finalizes when one of the loop's exit edges is taken.  Chain this
+    finalizes when one of the loop's exit edges is taken.  An entry a
+    STOP interrupts (say, in a callee of the loop's body) takes no exit
+    edge: :meth:`finalize_run` finalizes it at run end, so every run
+    adds one entry per execution of the loop's preheader.  Chain this
     recorder with a PlanExecutor via :class:`HookChain`.
 
     Limitation: per-loop state is global, so recursion *through an
@@ -111,11 +114,21 @@ class LoopMomentRecorder(ExecutionHooks):
         if not exits:
             return 0
         for header in exits.get((src, label), ()):
-            state = self._state[proc][header]
-            self.sumsq[proc][header] += state.current * state.current
-            self.entries[proc][header] += 1.0
-            state.current = 0.0
+            self._finalize(proc, header)
         return 0
+
+    def finalize_run(self) -> None:
+        """Finalize the entries a STOP left live; call after each run."""
+        for proc, states in self._state.items():
+            for header, state in states.items():
+                if state.current:
+                    self._finalize(proc, header)
+
+    def _finalize(self, proc: str, header: int) -> None:
+        state = self._state[proc][header]
+        self.sumsq[proc][header] += state.current * state.current
+        self.entries[proc][header] += 1.0
+        state.current = 0.0
 
 
 class HookChain(ExecutionHooks):

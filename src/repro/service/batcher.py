@@ -2,10 +2,11 @@
 
 Concurrent compile/profile requests are not executed one at a time:
 they queue in a bounded admission buffer and a single flusher task
-drains them into the batch engine in *micro-batches* — a flush fires
-as soon as ``max_batch`` requests are pending, or after ``linger``
-seconds, whichever comes first.  Batching buys two things on the
-request path:
+drains them into the batch engine in *micro-batches*.  The flusher
+never waits for companions: whenever it is free it takes up to
+``max_batch`` pending requests, and it sleeps only while the queue is
+empty.  Requests that arrive while a flush runs form the next batch.
+Batching buys two things on the request path:
 
 * **amortization** — one executor round-trip, one engine invocation
   and one cache-stats reconciliation per flush instead of per
@@ -81,7 +82,7 @@ class BatcherStats:
 
 
 class MicroBatcher:
-    """Admit, linger, flush.
+    """Admit, then flush whenever the flusher is free.
 
     ``flush_fn(tasks)`` is called *in a worker thread* with one task
     per unique signature and must return ``{signature: result}``; the
@@ -96,14 +97,12 @@ class MicroBatcher:
         flush_fn,
         *,
         max_batch: int = 16,
-        linger: float = 0.002,
         queue_limit: int = 128,
     ):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         self._flush_fn = flush_fn
         self.max_batch = max_batch
-        self.linger = linger
         self.queue_limit = queue_limit
         self.stats = BatcherStats()
         #: (task, waiter future, enqueue time) per admitted request.
@@ -124,7 +123,7 @@ class MicroBatcher:
             "Requests drained per micro-batch flush.",
             buckets=SIZE_BUCKETS,
         )
-        self._flush_linger = metrics.histogram(
+        self._flush_wait = metrics.histogram(
             "repro_flush_linger_seconds",
             "Oldest request's wait between admission and flush start.",
             buckets=(0.0005, 0.001, 0.002, 0.005, 0.01, 0.025, 0.05, 0.1),
@@ -132,6 +131,8 @@ class MicroBatcher:
         self._flush_seconds = metrics.histogram(
             "repro_flush_seconds", "Engine time per micro-batch flush."
         )
+        #: Engine time of the latest flush (the 429 retry hint).
+        self.last_flush_seconds = 0.0
 
     # -- admission -------------------------------------------------------
 
@@ -172,24 +173,6 @@ class MicroBatcher:
                 self._wakeup.clear()
                 await self._wakeup.wait()
                 continue
-            if len(self._pending) < self.max_batch and not self._closed:
-                # Linger briefly: give concurrent requests a chance to
-                # join this flush.  A full batch wakes us early.
-                deadline = asyncio.get_running_loop().time() + self.linger
-                while (
-                    len(self._pending) < self.max_batch
-                    and not self._closed
-                ):
-                    remaining = deadline - asyncio.get_running_loop().time()
-                    if remaining <= 0:
-                        break
-                    self._wakeup.clear()
-                    try:
-                        await asyncio.wait_for(
-                            self._wakeup.wait(), timeout=remaining
-                        )
-                    except (asyncio.TimeoutError, TimeoutError):
-                        break
             batch = self._pending[: self.max_batch]
             del self._pending[: len(batch)]
             self._queue_gauge.set(len(self._pending))
@@ -210,7 +193,7 @@ class MicroBatcher:
         loop = asyncio.get_running_loop()
         started = loop.time()
         self._flush_size.observe(len(batch))
-        self._flush_linger.observe(
+        self._flush_wait.observe(
             max(0.0, started - min(enq for _t, _f, enq in batch))
         )
         try:
@@ -218,7 +201,6 @@ class MicroBatcher:
                 None, self._flush_fn, list(unique.values())
             )
         except Exception as exc:
-            self._flush_seconds.observe(loop.time() - started)
             for _task, future, _enqueued in batch:
                 if not future.done():
                     future.set_exception(exc)
@@ -226,7 +208,9 @@ class MicroBatcher:
                     # unobserved exception never warns at GC time.
                     future.exception()
             return
-        self._flush_seconds.observe(loop.time() - started)
+        finally:
+            self.last_flush_seconds = loop.time() - started
+            self._flush_seconds.observe(self.last_flush_seconds)
         for task, future, _enqueued in batch:
             if future.done():
                 continue  # the waiter timed out and went away

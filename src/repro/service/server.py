@@ -41,6 +41,7 @@ was answered 200 is therefore never lost by a graceful shutdown.
 from __future__ import annotations
 
 import asyncio
+import math
 import os
 import platform
 import signal
@@ -102,10 +103,8 @@ class ServiceConfig:
     db: str | None = None
     #: Artifact cache directory (``None``: memory tier only).
     cache: str | None = None
-    #: Flush a micro-batch at this many pending requests ...
+    #: Most pending requests one micro-batch flush takes.
     max_batch: int = 16
-    #: ... or after this many seconds, whichever comes first.
-    linger: float = 0.002
     #: Admission-queue bound; beyond it requests are answered 429.
     queue_limit: int = 128
     #: Per-request budget in seconds; beyond it the answer is 504.
@@ -143,7 +142,6 @@ class ProfilingService:
         self.batcher = MicroBatcher(
             self._flush,
             max_batch=self.config.max_batch,
-            linger=self.config.linger,
             queue_limit=self.config.queue_limit,
         )
         #: source text per profile-database key, for query-time analysis.
@@ -365,8 +363,11 @@ class ProfilingService:
             except ProtocolError as exc:
                 return exc.status, error_payload(exc.status, str(exc))
             except QueueFull as exc:
+                # Retry after about one flush: it frees up to
+                # max_batch queue slots.
+                retry_ms = math.ceil(self.batcher.last_flush_seconds * 1e3)
                 return 429, error_payload(
-                    429, str(exc), retry_after_ms=int(self.config.linger * 2e3)
+                    429, str(exc), retry_after_ms=max(1, retry_ms)
                 )
             except Draining:
                 return 503, error_payload(503, "service is draining")

@@ -105,7 +105,6 @@ class ShardSupervisor:
             "db": shard_db_path(base.db, index),
             "cache": shard_cache_dir(base.cache, index),
             "max_batch": base.max_batch,
-            "linger": base.linger,
             "queue_limit": base.queue_limit,
             "request_timeout": base.request_timeout,
             "max_steps_cap": base.max_steps_cap,

@@ -1,8 +1,15 @@
 """Unit tests for the plan executor and loop-moment recorder."""
 
+import itertools
+
 import pytest
 
-from repro import compile_source, run_program, smart_program_plan
+from repro import (
+    compile_source,
+    profile_program,
+    run_program,
+    smart_program_plan,
+)
 from repro.costs import SCALAR_MACHINE
 from repro.profiling import PlanExecutor
 from repro.profiling.runtime import HookChain, LoopMomentRecorder
@@ -111,3 +118,92 @@ class TestLoopMomentRecorder:
         result = run_program(program, hooks=chain)
         assert result.counter_ops == executor.updates
         assert sum(recorder.entries["MAIN"].values()) == 1.0
+
+
+#: A STOP in a callee while MAIN's loop is active: MAIN's loop never
+#: takes an exit edge on the runs that halt (RAND() < 0.5).
+STOP_IN_CALLEE = (
+    "PROGRAM MAIN\n"
+    "X = RAND()\n"
+    "DO 10 I = 1, 5\n"
+    "CALL HALT(X, I)\n"
+    "10 CONTINUE\n"
+    "END\n"
+    "SUBROUTINE HALT(X, I)\n"
+    "IF (X .LT. 0.5 .AND. I .EQ. 3) STOP\n"
+    "END\n"
+)
+
+#: The STOP two frames down, inside the callee's own loop, so loops in
+#: both MAIN and SWEEP are interrupted.
+STOP_TWO_FRAMES_DOWN = (
+    "PROGRAM MAIN\n"
+    "X = RAND()\n"
+    "DO 10 I = 1, 4\n"
+    "CALL SWEEP(X, I)\n"
+    "10 CONTINUE\n"
+    "END\n"
+    "SUBROUTINE SWEEP(X, I)\n"
+    "DO 20 J = 1, I\n"
+    "CALL HALT(X, I, J)\n"
+    "20 CONTINUE\n"
+    "END\n"
+    "SUBROUTINE HALT(X, I, J)\n"
+    "IF (X .LT. 0.5 .AND. I .EQ. 3 .AND. J .EQ. 2) STOP\n"
+    "END\n"
+)
+
+SEEDS = range(6)
+
+
+def _moments(program, seeds):
+    profile, _ = profile_program(
+        program, [{"seed": s} for s in seeds], record_loop_moments=True
+    )
+    return {
+        name: (dict(proc.loop_sumsq), dict(proc.loop_entries))
+        for name, proc in profile.procedures.items()
+    }
+
+
+@pytest.mark.parametrize(
+    "source", [STOP_IN_CALLEE, STOP_TWO_FRAMES_DOWN], ids=["callee", "deep"]
+)
+class TestInterruptedEntries:
+    """A STOP's live loop entries are finalized at run end."""
+
+    def test_corpus_halts_mid_loop(self, source):
+        program = compile_source(source)
+        halted = {run_program(program, seed=s).halted for s in SEEDS}
+        assert halted == {"stop", "end"}
+
+    def test_run_order_does_not_change_the_moments(self, source):
+        program = compile_source(source)
+        for a, b in itertools.combinations(SEEDS, 2):
+            assert _moments(program, [a, b]) == _moments(program, [b, a])
+
+    def test_moments_add_across_runs(self, source):
+        program = compile_source(source)
+        together = _moments(program, SEEDS)
+        for name, (sumsq, entries) in together.items():
+            for header in sumsq:
+                singles = [_moments(program, [s])[name] for s in SEEDS]
+                assert sumsq[header] == sum(m[0][header] for m in singles)
+                assert entries[header] == sum(m[1][header] for m in singles)
+
+    def test_entries_equal_preheader_executions(self, source):
+        # The preheader runs once per taken entry edge of its loop;
+        # the plan-free run's edge counts are the ground truth.
+        program = compile_source(source)
+        for seed in SEEDS:
+            moments = _moments(program, [seed])
+            taken = run_program(program, seed=seed).edge_counts
+            for name, ecfg in program.ecfgs.items():
+                for header in ecfg.preheader_of:
+                    preheader_runs = sum(
+                        taken.get(name, {}).get((e.src, e.label), 0)
+                        for e in ecfg.intervals.entry_edges(header)
+                    )
+                    assert moments[name][1][header] == preheader_runs, (
+                        seed, name, header
+                    )

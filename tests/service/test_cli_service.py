@@ -13,7 +13,7 @@ pytestmark = pytest.mark.service
 
 @pytest.fixture(scope="module")
 def server():
-    with ServiceThread(ServiceConfig(linger=0.001)) as handle:
+    with ServiceThread(ServiceConfig()) as handle:
         yield handle
 
 
@@ -80,11 +80,19 @@ class TestServeParser:
         args = build_parser().parse_args(
             [
                 "serve", "--port", "0", "--max-batch", "4",
-                "--linger-ms", "1.5", "--queue-limit", "9",
+                "--queue-limit", "9",
                 "--timeout", "2.5", "--save-every", "10",
             ]
         )
         assert args.func.__name__ == "_cmd_serve"
         assert args.max_batch == 4
-        assert args.linger_ms == 1.5
         assert args.queue_limit == 9
+
+    def test_linger_flag_is_gone(self, capsys):
+        # The batcher flushes whenever it is free; there is no wait
+        # left to configure.
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--linger-ms", "1.5"])
+        assert "--linger-ms" in capsys.readouterr().err

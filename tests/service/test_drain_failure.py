@@ -53,7 +53,6 @@ class TestDrain:
             workers=self.WORKERS,
             worker=ServiceConfig(
                 db=str(base),
-                linger=0.001,
                 save_every=0,  # durability comes only from the drain
             ),
         )
@@ -107,7 +106,7 @@ class TestDrain:
         base = tmp_path / "profiles.json"
         config = FrontDoorConfig(
             workers=2,
-            worker=ServiceConfig(db=str(base), linger=0.001),
+            worker=ServiceConfig(db=str(base)),
         )
         program = compile_source(PAPER_SOURCE)
         delta, _ = profile_program(program, runs=2)
@@ -129,7 +128,6 @@ class TestCrash:
             workers=self.WORKERS,
             worker=ServiceConfig(
                 db=str(tmp_path / "profiles.json"),
-                linger=0.001,
                 save_every=1,  # bound the crash-loss window to zero
             ),
         )

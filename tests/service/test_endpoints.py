@@ -1,6 +1,7 @@
 """End-to-end endpoint behavior against a live in-process service."""
 
 import threading
+import time
 
 import pytest
 
@@ -14,7 +15,7 @@ pytestmark = pytest.mark.service
 
 @pytest.fixture(scope="module")
 def server():
-    with ServiceThread(ServiceConfig(linger=0.001)) as handle:
+    with ServiceThread(ServiceConfig()) as handle:
         yield handle
 
 
@@ -161,9 +162,8 @@ class TestIngestAndQuery:
 
 
 class TestCoalescing:
-    def test_identical_concurrent_requests_coalesce(self):
-        config = ServiceConfig(max_batch=16, linger=0.4)
-        with ServiceThread(config) as handle:
+    def test_identical_concurrent_requests_coalesce(self, held_flush):
+        with ServiceThread(ServiceConfig(max_batch=16)) as handle:
             results = []
 
             def call():
@@ -171,16 +171,23 @@ class TestCoalescing:
                     results.append(c.profile(PAPER_SOURCE, runs=1))
 
             threads = [threading.Thread(target=call) for _ in range(6)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            with ServiceClient(port=handle.port) as c:
-                stats = c.metrics()["batcher"]
+            with ServiceClient(port=handle.port) as probe:
+                threads[0].start()
+                assert held_flush.entered.wait(timeout=30)
+                for t in threads[1:]:
+                    t.start()
+                deadline = time.time() + 30
+                while probe.healthz()["queue_depth"] < 5:
+                    assert time.time() < deadline, "requests never queued"
+                    time.sleep(0.01)
+                held_flush.release.set()
+                for t in threads:
+                    t.join()
+                stats = probe.metrics()["batcher"]
         assert len(results) == 6
         times = {r["summary"]["time"] for r in results}
         assert len(times) == 1  # every waiter got the same result
-        # All six arrived within the linger window: one flush, one
-        # engine item, five coalesced away.
-        assert stats["coalesced"] >= 1
-        assert stats["flushes"] < 6
+        # The first request's flush held the other five in the queue:
+        # they ride the next flush as one engine item.
+        assert stats["flushes"] == 2
+        assert stats["coalesced"] == 4

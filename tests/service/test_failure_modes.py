@@ -54,7 +54,7 @@ def raw_post(port: int, path: str, body: bytes, content_type="application/json")
 class TestBadRequests:
     @pytest.fixture(scope="class")
     def server(self):
-        with ServiceThread(ServiceConfig(linger=0.001)) as handle:
+        with ServiceThread(ServiceConfig()) as handle:
             yield handle
 
     def test_malformed_json_body_is_400(self, server):
@@ -108,7 +108,7 @@ class TestBadRequests:
         assert "TOTAL_FREQ" in payload["error"]["message"]
 
     def test_oversized_body_is_413(self):
-        config = ServiceConfig(linger=0.001, max_body=512)
+        config = ServiceConfig(max_body=512)
         with ServiceThread(config) as handle:
             status, _ = raw_post(
                 handle.port,
@@ -119,21 +119,24 @@ class TestBadRequests:
 
 
 class TestQueueFullRejection:
-    def test_429_when_admission_queue_is_full(self):
-        # A long linger keeps the first two requests pending; with
-        # queue_limit=2 the third must be shed at the door.
-        config = ServiceConfig(queue_limit=2, max_batch=64, linger=8.0)
+    def test_429_when_admission_queue_is_full(self, held_flush):
+        # The first request's flush is held, so the next two stay
+        # pending; with queue_limit=2 the fourth must be shed at the
+        # door.
+        config = ServiceConfig(queue_limit=2, max_batch=64)
         with ServiceThread(config) as handle:
-            outcomes: list = [None, None]
+            outcomes: list = [None, None, None]
 
             def call(i):
                 with ServiceClient(port=handle.port, timeout=60) as c:
                     outcomes[i] = c.profile(PAPER_SOURCE, runs=1 + i)
 
             threads = [
-                threading.Thread(target=call, args=(i,)) for i in range(2)
+                threading.Thread(target=call, args=(i,)) for i in range(3)
             ]
-            for t in threads:
+            threads[0].start()
+            assert held_flush.entered.wait(timeout=30)
+            for t in threads[1:]:
                 t.start()
             deadline = time.time() + 5
             with ServiceClient(port=handle.port) as probe:
@@ -142,13 +145,14 @@ class TestQueueFullRejection:
                         break
                     time.sleep(0.01)
                 with pytest.raises(ServiceError) as excinfo:
-                    probe.profile(PAPER_SOURCE, runs=3)
+                    probe.profile(PAPER_SOURCE, runs=4)
                 assert excinfo.value.status == 429
-                assert "retry_after_ms" in excinfo.value.payload["error"]
+                assert excinfo.value.payload["error"]["retry_after_ms"] > 0
                 stats = probe.metrics()["batcher"]
                 assert stats["rejected_queue_full"] == 1
-            # Drain releases the lingering flush: the two accepted
-            # requests still complete successfully.
+            # Released, the held flush and the two queued requests
+            # still complete successfully.
+            held_flush.release.set()
             for t in threads:
                 t.join(timeout=30)
         assert all(r is not None and r["ok"] for r in outcomes)
@@ -156,7 +160,7 @@ class TestQueueFullRejection:
 
 class TestRequestTimeout:
     def test_504_when_budget_exceeded(self):
-        config = ServiceConfig(linger=0.001, request_timeout=0.1)
+        config = ServiceConfig(request_timeout=0.1)
         with ServiceThread(config) as handle:
             with ServiceClient(port=handle.port) as client:
                 with pytest.raises(ServiceError) as excinfo:
@@ -166,26 +170,32 @@ class TestRequestTimeout:
 
 
 class TestGracefulShutdown:
-    def test_no_accepted_ingest_is_lost_mid_batch(self, tmp_path):
+    def test_no_accepted_ingest_is_lost_mid_batch(self, tmp_path, held_flush):
         db_path = tmp_path / "profiles.json"
-        # A long linger guarantees the profile request is still
-        # sitting in the admission queue when shutdown starts.
-        config = ServiceConfig(db=str(db_path), linger=5.0, max_batch=64)
+        # The held flush of a first profile request guarantees the
+        # second is still sitting in the admission queue when shutdown
+        # starts; the drain releases the hold.
+        config = ServiceConfig(db=str(db_path), max_batch=64)
         handle = ServiceThread(config).start()
 
         program = compile_source(PAPER_SOURCE)
         delta, _ = profile_program(program, runs=1)
 
-        pending_result: dict = {}
+        results: dict[str, dict] = {"held": {}, "batched": {}}
 
-        def lingering_profile():
+        def profile_and_ingest(key, runs):
             with ServiceClient(port=handle.port, timeout=60) as c:
-                pending_result.update(
-                    c.profile(PAPER_SOURCE, runs=2, ingest="batched")
+                results[key].update(
+                    c.profile(PAPER_SOURCE, runs=runs, ingest=key)
                 )
 
-        thread = threading.Thread(target=lingering_profile)
-        thread.start()
+        held = threading.Thread(target=profile_and_ingest, args=("held", 1))
+        held.start()
+        assert held_flush.entered.wait(timeout=30)
+        queued = threading.Thread(
+            target=profile_and_ingest, args=("batched", 2)
+        )
+        queued.start()
         accepted = 0
         with ServiceClient(port=handle.port) as client:
             deadline = time.time() + 5
@@ -198,24 +208,26 @@ class TestGracefulShutdown:
                 assert response["ok"]
                 accepted += 1
 
-        # Shut down while the profile request is still mid-batch.
+        # Shut down while one request is mid-flush and one queued.
         handle.stop()
-        thread.join(timeout=30)
+        held.join(timeout=30)
+        queued.join(timeout=30)
 
-        # The lingering request was flushed by the drain, not dropped.
-        assert pending_result.get("ingested", {}).get("key") == "batched"
+        # The queued request was flushed by the drain, not dropped.
+        assert results["held"].get("ingested", {}).get("key") == "held"
+        assert results["batched"].get("ingested", {}).get("key") == "batched"
 
         # Every accepted ingest survived into the database file.
         reloaded = ProfileDatabase(db_path)
         assert not reloaded.recovered_corrupt
         assert reloaded.lookup("direct").runs == accepted
+        assert reloaded.lookup("held").runs == 1
         assert reloaded.lookup("batched").runs == 2
 
-    def test_new_work_rejected_while_draining(self):
+    def test_new_work_rejected_while_draining(self, held_flush):
         import asyncio
 
-        config = ServiceConfig(linger=5.0, max_batch=64)
-        handle = ServiceThread(config).start()
+        handle = ServiceThread(ServiceConfig(max_batch=64)).start()
         # Drain closes the listener immediately, so observe the
         # draining window over connections opened *before* shutdown —
         # exactly what real in-flight keep-alive clients hold.
@@ -230,12 +242,13 @@ class TestGracefulShutdown:
             conn.getresponse().read()
 
         with ServiceClient(port=handle.port, timeout=60) as blocker_client:
-            # SLOW_SOURCE keeps the drain busy flushing for ~0.4s.
+            # SLOW_SOURCE keeps the drain busy flushing for ~0.4s
+            # once the drain releases its held flush.
             blocker = threading.Thread(
                 target=lambda: blocker_client.profile(SLOW_SOURCE, runs=1)
             )
             blocker.start()
-            time.sleep(0.05)  # let the blocker reach the admission queue
+            assert held_flush.entered.wait(timeout=30)
             # Start the drain on the service loop without waiting.
             asyncio.run_coroutine_threadsafe(
                 handle.service.shutdown(), handle._loop

@@ -35,7 +35,6 @@ def fleet(tmp_path_factory):
         worker=ServiceConfig(
             db=str(tmp / "profiles.json"),
             cache=str(tmp / "cache"),
-            linger=0.001,
             save_every=1,
         ),
     )
@@ -164,7 +163,7 @@ class TestFanout:
     ):
         """The headline acceptance: merged fan-out == one process."""
         with ServiceThread(
-            ServiceConfig(db=str(tmp_path / "single.json"), linger=0.001)
+            ServiceConfig(db=str(tmp_path / "single.json"))
         ) as single_handle:
             with ServiceClient(port=single_handle.port) as single:
                 program = compile_source(PAPER_SOURCE)

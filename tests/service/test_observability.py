@@ -25,7 +25,7 @@ pytestmark = [pytest.mark.service, pytest.mark.obs]
 
 @pytest.fixture(scope="module")
 def server():
-    with ServiceThread(ServiceConfig(linger=0.001)) as handle:
+    with ServiceThread(ServiceConfig()) as handle:
         yield handle
 
 

@@ -22,7 +22,7 @@ pytestmark = [pytest.mark.service, pytest.mark.paths]
 
 @pytest.fixture(scope="module")
 def server():
-    with ServiceThread(ServiceConfig(linger=0.001)) as handle:
+    with ServiceThread(ServiceConfig()) as handle:
         yield handle
 
 

@@ -42,7 +42,7 @@ def calibration_path(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def server(calibration_path):
-    config = ServiceConfig(linger=0.001, calibration=str(calibration_path))
+    config = ServiceConfig(calibration=str(calibration_path))
     with ServiceThread(config) as handle:
         yield handle
 
@@ -69,7 +69,7 @@ class TestCalibrationEndpoint:
         assert body["calibration"] == on_disk
 
     def test_404_when_not_loaded(self):
-        with ServiceThread(ServiceConfig(linger=0.001)) as handle:
+        with ServiceThread(ServiceConfig()) as handle:
             with ServiceClient(port=handle.port) as c:
                 with pytest.raises(ServiceError) as excinfo:
                     c.calibration()
@@ -90,7 +90,7 @@ class TestCalibratedQueries:
         assert "calibration" not in body
 
     def test_calibrated_rejected_without_artifact(self):
-        with ServiceThread(ServiceConfig(linger=0.001)) as handle:
+        with ServiceThread(ServiceConfig()) as handle:
             with ServiceClient(port=handle.port) as c:
                 c.profile(PAPER_SOURCE, runs=1, ingest="k")
                 with pytest.raises(ServiceError) as excinfo:
