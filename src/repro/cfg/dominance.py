@@ -38,13 +38,12 @@ def immediate_dominators(
                 b = idom[b]
         return a
 
+    pred_lists = [(node, preds(node)) for node in nodes if node != root]
     changed = True
     while changed:
         changed = False
-        for node in nodes:
-            if node == root:
-                continue
-            candidates = [p for p in preds(node) if p in idom]
+        for node, node_preds in pred_lists:
+            candidates = [p for p in node_preds if p in idom]
             if not candidates:
                 continue
             new_idom = candidates[0]

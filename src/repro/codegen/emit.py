@@ -571,25 +571,9 @@ class ProcEmitter:
             out.append((code, p))
         return out
 
-    def _bounds_checks(
-        self, name, info, codes, line, *, runtime: bool
-    ) -> None:
-        """Per-subscript checks in index order, like Array._offset.
-
-        ``runtime`` means a dummy array: extents come from the actual
-        array's unpacked ``V_<name>_b<k>`` locals (declared extents of
-        dummies are conventionally 1s) and the message reports the
-        caller's array name, not the local alias.
-        """
-        for k, ((code, p), dim) in enumerate(zip(codes, info.dims), 1):
-            if runtime:
-                b = f"V_{name}_b{k}"
-                self.line(f"if not (1 <= {code} <= {b}):")
-                self.line(
-                    f"    raise IE('%s: subscript %d out of bounds "
-                    f"1..%d' % (V_{name}.name, {code}, {b}), {line})"
-                )
-                continue
+    def _bounds_checks(self, name, info, codes, line) -> None:
+        """Per-subscript checks in index order, like Array._offset."""
+        for (code, p), dim in zip(codes, info.dims):
             if (
                 p.has_const
                 and isinstance(p.const, (int, float, bool))
@@ -601,6 +585,24 @@ class ProcEmitter:
                 f"    raise IE('{name}: subscript %d out of bounds "
                 f"1..{dim}' % {code}, {line})"
             )
+
+    @staticmethod
+    def _dummy_guard(name, codes) -> str:
+        """When a dummy array access may index the unpacked data list.
+
+        The actual array passed the prologue's guard, and every
+        subscript lies within the actual's extents (dummies are
+        conventionally declared with extent 1).  Otherwise ``_getn`` /
+        ``_setn`` reach ``FortranArray._offset``, which checks the
+        subscripts in the same order and raises the reference's error,
+        naming the caller's array.
+        """
+        checks = [f"V_{name}_d is not None"]
+        checks += [
+            f"1 <= {code} <= V_{name}_b{k}"
+            for k, (code, _p) in enumerate(codes, 1)
+        ]
+        return " and ".join(checks)
 
     def _offset_code(self, name, info, codes, *, runtime: bool) -> str:
         """The column-major flat offset with strides folded in."""
@@ -643,7 +645,7 @@ class ProcEmitter:
             # the checks and the strided flat offset.
             codes = self._index_codes(index_exprs)
             if not info.is_param:
-                self._bounds_checks(name, info, codes, line, runtime=False)
+                self._bounds_checks(name, info, codes, line)
                 return EV(
                     f"{obj}_d"
                     f"[{self._offset_code(name, info, codes, runtime=False)}]",
@@ -651,17 +653,13 @@ class ProcEmitter:
                 )
             self.param_arrays.add(name)
             t = self.temp()
-            self.line(f"if {obj}_d is not None:")
-            self.ind += 1
-            self._bounds_checks(name, info, codes, line, runtime=True)
+            idxs = ", ".join(c for c, _p in codes)
             self.line(
                 f"{t} = {obj}_d"
-                f"[{self._offset_code(name, info, codes, runtime=True)}]"
+                f"[{self._offset_code(name, info, codes, runtime=True)}] "
+                f"if {self._dummy_guard(name, codes)} "
+                f"else _getn({obj}, ({idxs}), {name!r}, {line})"
             )
-            self.ind -= 1
-            self.line("else:")
-            idxs = ", ".join(c for c, _p in codes)
-            self.line(f"    {t} = _getn({obj}, ({idxs}), {name!r}, {line})")
             return EV(t, True)
         if (
             info is not None
@@ -691,23 +689,12 @@ class ProcEmitter:
                 self.line(f"{t} = {code}")
                 code = t
             if info.is_param:
-                # Rank-1 dummy array: when the actual is a matching
-                # array (prologue guard), load straight from the
-                # unpacked data list with its runtime extent;
-                # otherwise the generic helper reproduces the
-                # reference's checks and messages.
                 self.param_arrays.add(name)
                 t = self.temp()
-                self.line(f"if {obj}_d is not None:")
-                self.ind += 1
-                self._bounds_checks(
-                    name, info, [(code, ev)], line, runtime=True
-                )
-                self.line(f"{t} = {obj}_d[{code} - 1]")
-                self.ind -= 1
-                self.line("else:")
                 self.line(
-                    f"    {t} = _getn({obj}, ({code},), {name!r}, {line})"
+                    f"{t} = {obj}_d[{code} - 1] "
+                    f"if {self._dummy_guard(name, [(code, ev)])} "
+                    f"else _getn({obj}, ({code},), {name!r}, {line})"
                 )
                 return EV(t, True)
             lo = 0 if self._mut("off-by-one-bounds") else 1
@@ -985,26 +972,18 @@ class ProcEmitter:
             if info.is_param:
                 self.param_arrays.add(target.name)
                 coerced = self._coerced(value.code, info.type, vty, line)
-                self.line(f"if {obj}_d is not None:")
-                self.ind += 1
-                self._bounds_checks(
-                    target.name, info, codes, line, runtime=True
-                )
+                idxs = ", ".join(c for c, _p in codes)
                 self.line(
+                    f"if {self._dummy_guard(target.name, codes)}: "
                     f"{obj}_d[{self._offset_code(target.name, info, codes, runtime=True)}]"
                     f" = {coerced}"
                 )
-                self.ind -= 1
-                self.line("else:")
-                idxs = ", ".join(c for c, _p in codes)
                 self.line(
-                    f"    _setn({obj}, ({idxs}), {value.code}, "
+                    f"else: _setn({obj}, ({idxs}), {value.code}, "
                     f"{target.name!r}, {line})"
                 )
                 return
-            self._bounds_checks(
-                target.name, info, codes, line, runtime=False
-            )
+            self._bounds_checks(target.name, info, codes, line)
             coerced = self._coerced(value.code, info.type, vty, line)
             if coerced is None:
                 self.line(
@@ -1034,23 +1013,19 @@ class ProcEmitter:
                 code = t
             in_bounds = ev.has_const and 1 <= int(ev.const) <= dim
             if info.is_param:
-                # Rank-1 dummy array (see _element_get): the fast path
+                # Rank-1 dummy array (see _dummy_guard): the fast path
                 # only exists when the store cannot be an unconditional
                 # type error, so the inline coercion is total and the
                 # generic fallback stays bit-identical.
                 self.param_arrays.add(target.name)
                 obj = f"V_{target.name}"
                 coerced = self._coerced(value.code, info.type, vty, line)
-                self.line(f"if {obj}_d is not None:")
-                self.ind += 1
-                self._bounds_checks(
-                    target.name, info, [(code, ev)], line, runtime=True
-                )
-                self.line(f"{obj}_d[{code} - 1] = {coerced}")
-                self.ind -= 1
-                self.line("else:")
                 self.line(
-                    f"    _setn({obj}, ({code},), {value.code}, "
+                    f"if {self._dummy_guard(target.name, [(code, ev)])}: "
+                    f"{obj}_d[{code} - 1] = {coerced}"
+                )
+                self.line(
+                    f"else: _setn({obj}, ({code},), {value.code}, "
                     f"{target.name!r}, {line})"
                 )
                 return
@@ -1635,16 +1610,15 @@ class ProcEmitter:
             # in rank or type leaves the alias None and every access
             # falls back to the generic checked helpers.
             rank = len(info.dims)
-            bs = ", ".join(f"V_{pname}_b{k}" for k in range(1, rank + 1))
+            names = [f"V_{pname}_d"]
+            names += [f"V_{pname}_b{k}" for k in range(1, rank + 1)]
             pro(
+                f"{', '.join(names)} = (V_{pname}.data, *V_{pname}.dims) "
                 f"if V_{pname}.__class__ is Array "
                 f"and _len(V_{pname}.dims) == {rank} "
-                f"and V_{pname}.type is {_TYPE_NAME[info.type]}:"
+                f"and V_{pname}.type is {_TYPE_NAME[info.type]} "
+                f"else {(None,) * (rank + 1)!r}"
             )
-            pro(f"    V_{pname}_d = V_{pname}.data")
-            pro(f"    {bs}{',' if rank == 1 else ''} = V_{pname}.dims")
-            pro("else:")
-            pro(f"    V_{pname}_d = None")
         for k in sorted(self.hits_used):
             pro(f"_h{k} = 0")
         for e in sorted(self.edges_used):

@@ -1,16 +1,18 @@
 """Line-oriented lexer for minifort.
 
 The lexer is deliberately forgiving about layout: it accepts free-form
-source, treats ``!`` as an end-of-line comment, treats a full line whose
-first non-blank character is ``C`` followed by a space (or ``*`` in
-column one) as a comment line, and is case-insensitive for keywords,
-names and dot-operators.
+source, treats ``!`` as an end-of-line comment, treats a line whose
+column one holds ``*``, or ``C`` followed by a blank, as a comment
+line (an indented ``C`` is an ordinary name), and is case-insensitive
+for keywords, names and dot-operators.
 
 Statement labels (``10 CONTINUE``) are ordinary INT tokens at the start
 of a line; the parser decides whether a leading integer is a label.
 """
 
 from __future__ import annotations
+
+import re
 
 from repro.errors import LexError
 from repro.lang.tokens import (
@@ -21,7 +23,8 @@ from repro.lang.tokens import (
     TokenKind,
 )
 
-_SINGLE_CHAR = {
+#: Every operator and punctuation spelling, one or two characters.
+_PUNCTUATION = {
     "(": TokenKind.LPAREN,
     ")": TokenKind.RPAREN,
     ",": TokenKind.COMMA,
@@ -29,7 +32,35 @@ _SINGLE_CHAR = {
     "+": TokenKind.PLUS,
     "-": TokenKind.MINUS,
     "/": TokenKind.SLASH,
+    "=": TokenKind.EQUALS,
+    "*": TokenKind.STAR,
+    "**": TokenKind.POWER,
+    **MODERN_OPERATORS,
 }
+
+_DOT_WORDS = "|".join(DOT_OPERATORS)
+
+#: Blanks, then one token of an ASCII line (or the end of the line),
+#: as :meth:`Lexer._lex_chars` would lex it: the cases start with
+#: distinct characters, except that ``.5`` is a number before a dot
+#: operator is tried, and a real's ``.`` must not begin a dot operator
+#: (``1.GE.2`` is INT, GE, INT).  ``bad`` catches what no case
+#: accepts: an unterminated string, a malformed dot operator or a
+#: stray character, left to ``_lex_chars`` to report.
+_TOKEN = re.compile(
+    r"[ \t\r]*(?:"
+    r"(?P<name>[A-Za-z_]\w*)"
+    r"|(?P<punct>\*\*|<=|>=|==|/=|[<>=*(),:+\-/])"
+    rf"|(?P<number>(?:\d+(?:\.(?!(?:{_DOT_WORDS})\.)\d*)?|\.\d+)"
+    r"(?:[EeDd][+-]?\d+)?)"
+    rf"|\.(?P<dot>{_DOT_WORDS})\."
+    r"|(?P<string>'(?:[^']|'')*')"
+    r"|(?P<bad>.)"
+    r"|$)",
+    re.ASCII | re.IGNORECASE | re.DOTALL,
+)
+
+_new_token = tuple.__new__  # Token(...) without NamedTuple's Python __new__
 
 
 class Lexer:
@@ -81,6 +112,8 @@ class Lexer:
             return ""
         if raw[:1] in {"C", "c"} and (len(raw) == 1 or raw[1] in " \t"):
             return ""
+        if "!" not in raw:
+            return raw
         if raw.lstrip()[:1] == "!":
             return ""
         # An end-of-line "!" comment (never inside a string literal).
@@ -93,7 +126,39 @@ class Lexer:
         return raw
 
     def _lex_line(self, line: str, lineno: int) -> None:
-        i = 0
+        """Scan an ASCII line with :data:`_TOKEN`; ``_lex_chars``
+        takes over where it cannot decide, and lexes any other line."""
+        if not line.isascii():
+            self._lex_chars(line, 0, lineno)
+            return
+        tokens = self.tokens
+        for match in _TOKEN.finditer(line):
+            group = match.lastgroup
+            if group is None:
+                continue  # trailing blanks
+            text = match.group(group)
+            if group == "name":
+                text = text.upper()
+                kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.NAME
+            elif group == "punct":
+                kind = _PUNCTUATION[text]
+            elif group == "number":
+                kind = TokenKind.INT if text.isdigit() else TokenKind.REAL
+                text = text.upper().replace("D", "E")
+            elif group == "dot":
+                text = text.upper()
+                kind = DOT_OPERATORS[text]
+                text = f".{text}."
+            elif group == "string":
+                kind = TokenKind.STRING
+                text = text[1:-1].replace("''", "'")
+            else:
+                self._lex_chars(line, match.start(group), lineno)
+                return
+            tokens.append(_new_token(Token, (kind, text, lineno)))
+
+    def _lex_chars(self, line: str, i: int, lineno: int) -> None:
+        """Lex ``line`` from index ``i`` one character at a time."""
         n = len(line)
         while i < n:
             ch = line[i]
@@ -113,32 +178,12 @@ class Lexer:
                 i = self._lex_name(line, i, lineno)
                 continue
             two = line[i : i + 2]
-            if two == "**":
-                self._emit(TokenKind.POWER, "**", lineno)
+            if len(two) == 2 and two in _PUNCTUATION:
+                self._emit(_PUNCTUATION[two], two, lineno)
                 i += 2
                 continue
-            if two in MODERN_OPERATORS:
-                self._emit(MODERN_OPERATORS[two], two, lineno)
-                i += 2
-                continue
-            if ch in "<>":
-                self._emit(MODERN_OPERATORS[ch], ch, lineno)
-                i += 1
-                continue
-            if ch == "=" and two == "==":
-                self._emit(TokenKind.EQ, "==", lineno)
-                i += 2
-                continue
-            if ch == "=":
-                self._emit(TokenKind.EQUALS, "=", lineno)
-                i += 1
-                continue
-            if ch == "*":
-                self._emit(TokenKind.STAR, "*", lineno)
-                i += 1
-                continue
-            if ch in _SINGLE_CHAR:
-                self._emit(_SINGLE_CHAR[ch], ch, lineno)
+            if ch in _PUNCTUATION:
+                self._emit(_PUNCTUATION[ch], ch, lineno)
                 i += 1
                 continue
             raise LexError(f"unexpected character {ch!r}", lineno)

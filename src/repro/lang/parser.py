@@ -14,13 +14,36 @@ from repro.lang import ast
 from repro.lang.lexer import tokenize
 from repro.lang.tokens import Token, TokenKind
 
-_COMPARISON_OPS = {
-    TokenKind.LT: ast.BinOp.LT,
-    TokenKind.LE: ast.BinOp.LE,
-    TokenKind.GT: ast.BinOp.GT,
-    TokenKind.GE: ast.BinOp.GE,
-    TokenKind.EQ: ast.BinOp.EQ,
-    TokenKind.NE: ast.BinOp.NE,
+#: Binding powers of the expression grammar, loosest first:
+#: ``.OR.``, ``.AND.``, prefix ``.NOT.``, one non-chaining comparison,
+#: ``+ -``, ``* /``, prefix ``+ -``, then right-associative ``**``
+#: whose base is a primary.
+_OR, _AND, _NOT, _COMPARE, _ADD, _MUL, _SIGN, _POW, _PRIMARY = range(1, 10)
+
+#: token kind -> (binding power, operator) of every binary operator.
+_BINARY = {
+    TokenKind.OR: (_OR, ast.BinOp.OR),
+    TokenKind.AND: (_AND, ast.BinOp.AND),
+    TokenKind.LT: (_COMPARE, ast.BinOp.LT),
+    TokenKind.LE: (_COMPARE, ast.BinOp.LE),
+    TokenKind.GT: (_COMPARE, ast.BinOp.GT),
+    TokenKind.GE: (_COMPARE, ast.BinOp.GE),
+    TokenKind.EQ: (_COMPARE, ast.BinOp.EQ),
+    TokenKind.NE: (_COMPARE, ast.BinOp.NE),
+    TokenKind.PLUS: (_ADD, ast.BinOp.ADD),
+    TokenKind.MINUS: (_ADD, ast.BinOp.SUB),
+    TokenKind.STAR: (_MUL, ast.BinOp.MUL),
+    TokenKind.SLASH: (_MUL, ast.BinOp.DIV),
+    TokenKind.POWER: (_POW, ast.BinOp.POW),
+}
+
+#: token kind -> (operand binding power, operator) of the prefix
+#: operators; ``.NOT.`` only begins an operand of ``.AND.``/``.OR.``
+#: (or a whole expression), while a sign may begin any operand.
+_PREFIX = {
+    TokenKind.NOT: (_NOT, ast.UnOp.NOT),
+    TokenKind.MINUS: (_SIGN, ast.UnOp.NEG),
+    TokenKind.PLUS: (_SIGN, ast.UnOp.POS),
 }
 
 _TYPE_KEYWORDS = {
@@ -40,6 +63,8 @@ class Parser:
     # -- token stream helpers ------------------------------------------------
 
     def _peek(self, offset: int = 0) -> Token:
+        if not offset:
+            return self.tokens[self.pos]  # EOF is always last
         index = min(self.pos + offset, len(self.tokens) - 1)
         return self.tokens[index]
 
@@ -50,24 +75,26 @@ class Parser:
         return token
 
     def _check(self, kind: TokenKind, value: str | None = None) -> bool:
-        token = self._peek()
-        if token.kind is not kind:
-            return False
-        return value is None or token.value == value
+        token = self.tokens[self.pos]
+        return token.kind is kind and (value is None or token.value == value)
 
     def _match(self, kind: TokenKind, value: str | None = None) -> Token | None:
-        if self._check(kind, value):
-            return self._advance()
-        return None
+        token = self.tokens[self.pos]
+        if token.kind is not kind or (value is not None and token.value != value):
+            return None
+        if kind is not TokenKind.EOF:
+            self.pos += 1
+        return token
 
     def _expect(self, kind: TokenKind, value: str | None = None) -> Token:
-        token = self._peek()
-        if not self._check(kind, value):
+        token = self._match(kind, value)
+        if token is None:
+            token = self.tokens[self.pos]
             wanted = value or kind.value
             raise ParseError(
                 f"expected {wanted!r}, found {token.value!r}", token.line
             )
-        return self._advance()
+        return token
 
     def _expect_newline(self) -> None:
         token = self._peek()
@@ -431,115 +458,67 @@ class Parser:
 
     # -- expressions -----------------------------------------------------
 
-    def _parse_expression(self) -> ast.Expr:
-        return self._parse_or()
+    def _parse_expression(self, min_power: int = _OR) -> ast.Expr:
+        """Precedence climbing over :data:`_BINARY` and :data:`_PREFIX`.
 
-    def _parse_or(self) -> ast.Expr:
-        left = self._parse_and()
-        while self._check(TokenKind.OR):
-            op_token = self._advance()
-            right = self._parse_and()
-            left = ast.Binary(op_token.line, ast.BinOp.OR, left, right)
-        return left
-
-    def _parse_and(self) -> ast.Expr:
-        left = self._parse_not()
-        while self._check(TokenKind.AND):
-            op_token = self._advance()
-            right = self._parse_not()
-            left = ast.Binary(op_token.line, ast.BinOp.AND, left, right)
-        return left
-
-    def _parse_not(self) -> ast.Expr:
-        if self._check(TokenKind.NOT):
-            op_token = self._advance()
-            return ast.Unary(op_token.line, ast.UnOp.NOT, self._parse_not())
-        return self._parse_comparison()
-
-    def _parse_comparison(self) -> ast.Expr:
-        left = self._parse_additive()
-        if self._peek().kind in _COMPARISON_OPS:
-            op_token = self._advance()
-            right = self._parse_additive()
-            return ast.Binary(
-                op_token.line, _COMPARISON_OPS[op_token.kind], left, right
-            )
-        return left
-
-    def _parse_additive(self) -> ast.Expr:
-        left = self._parse_multiplicative()
-        while self._peek().kind in (TokenKind.PLUS, TokenKind.MINUS):
-            op_token = self._advance()
-            op = ast.BinOp.ADD if op_token.kind is TokenKind.PLUS else ast.BinOp.SUB
-            right = self._parse_multiplicative()
-            left = ast.Binary(op_token.line, op, left, right)
-        return left
-
-    def _parse_multiplicative(self) -> ast.Expr:
-        left = self._parse_unary()
-        while self._peek().kind in (TokenKind.STAR, TokenKind.SLASH):
-            op_token = self._advance()
-            op = ast.BinOp.MUL if op_token.kind is TokenKind.STAR else ast.BinOp.DIV
-            right = self._parse_unary()
-            left = ast.Binary(op_token.line, op, left, right)
-        return left
-
-    def _parse_unary(self) -> ast.Expr:
-        token = self._peek()
-        if token.kind is TokenKind.MINUS:
-            self._advance()
-            return ast.Unary(token.line, ast.UnOp.NEG, self._parse_unary())
-        if token.kind is TokenKind.PLUS:
-            self._advance()
-            return ast.Unary(token.line, ast.UnOp.POS, self._parse_unary())
-        return self._parse_power()
-
-    def _parse_power(self) -> ast.Expr:
-        base = self._parse_primary()
-        if self._check(TokenKind.POWER):
-            op_token = self._advance()
-            # `**` is right-associative; exponent may itself be unary.
-            exponent = self._parse_unary()
-            return ast.Binary(op_token.line, ast.BinOp.POW, base, exponent)
-        return base
+        An operator binds only if its power is at least ``min_power``
+        and at most ``level``, the power of the expression built so
+        far: a comparison or ``.NOT.`` result (level ``_NOT``) takes
+        only ``.AND.``/``.OR.``, so comparisons never chain.
+        """
+        tokens = self.tokens
+        token = tokens[self.pos]
+        prefix = _PREFIX.get(token.kind)
+        if prefix is not None and (prefix[0] >= _SIGN or min_power <= _NOT):
+            self.pos += 1
+            power, op = prefix
+            left = ast.Unary(token.line, op, self._parse_expression(power))
+            level = power
+        else:
+            left = self._parse_primary()
+            level = _PRIMARY
+        while True:
+            token = tokens[self.pos]
+            binary = _BINARY.get(token.kind)
+            if binary is None:
+                return left
+            power, op = binary
+            if not min_power <= power <= level:
+                return left
+            self.pos += 1
+            if power == _POW:
+                right = self._parse_expression(_SIGN)
+            else:
+                right = self._parse_expression(power + 1)
+            left = ast.Binary(token.line, op, left, right)
+            level = _NOT if power == _COMPARE else power
 
     def _parse_primary(self) -> ast.Expr:
-        token = self._peek()
-        if token.kind is TokenKind.INT:
-            self._advance()
-            return ast.IntLit(token.line, int(token.value))
-        if token.kind is TokenKind.REAL:
-            self._advance()
-            return ast.RealLit(token.line, float(token.value))
-        if token.kind is TokenKind.STRING:
-            self._advance()
-            return ast.StringLit(token.line, token.value)
-        if token.kind is TokenKind.TRUE:
-            self._advance()
-            return ast.LogicalLit(token.line, True)
-        if token.kind is TokenKind.FALSE:
-            self._advance()
-            return ast.LogicalLit(token.line, False)
-        if token.kind is TokenKind.LPAREN:
-            self._advance()
+        token = self.tokens[self.pos]
+        kind = token.kind
+        literal = _LITERALS.get(kind)
+        if literal is not None:
+            self.pos += 1
+            return literal(token)
+        if kind is TokenKind.LPAREN:
+            self.pos += 1
             inner = self._parse_expression()
             self._expect(TokenKind.RPAREN)
             return inner
         # The REAL/INTEGER type keywords double as conversion intrinsics
         # inside expressions: `REAL(I)`, `INT(X)` (INT is a plain name).
         if (
-            token.kind is TokenKind.KEYWORD
+            kind is TokenKind.KEYWORD
             and token.value in {"REAL", "INTEGER"}
             and self._peek(1).kind is TokenKind.LPAREN
         ):
-            self._advance()
-            self._expect(TokenKind.LPAREN)
+            self.pos += 2
             arg = self._parse_expression()
             self._expect(TokenKind.RPAREN)
             name = "REAL" if token.value == "REAL" else "INT"
             return ast.FuncCall(token.line, name, (arg,))
-        if token.kind is TokenKind.NAME:
-            self._advance()
+        if kind is TokenKind.NAME:
+            self.pos += 1
             if self._match(TokenKind.LPAREN):
                 args: list[ast.Expr] = []
                 if not self._check(TokenKind.RPAREN):
@@ -551,6 +530,16 @@ class Parser:
                 return ast.FuncCall(token.line, token.value, tuple(args))
             return ast.VarRef(token.line, token.value)
         raise ParseError(f"unexpected token {token.value!r} in expression", token.line)
+
+
+#: token kind -> the literal node a primary of that kind builds.
+_LITERALS = {
+    TokenKind.INT: lambda t: ast.IntLit(t.line, int(t.value)),
+    TokenKind.REAL: lambda t: ast.RealLit(t.line, float(t.value)),
+    TokenKind.STRING: lambda t: ast.StringLit(t.line, t.value),
+    TokenKind.TRUE: lambda t: ast.LogicalLit(t.line, True),
+    TokenKind.FALSE: lambda t: ast.LogicalLit(t.line, False),
+}
 
 
 # -- block terminator predicates --------------------------------------------

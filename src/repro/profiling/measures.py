@@ -111,7 +111,8 @@ class RuleSet:
         replays that with one min-heap per pass.  A rule whose last
         missing dependency rule ``i`` resolves joins the current pass if
         its index is above ``i``, else the next one.  A rule whose
-        target is already resolved never fires.
+        target is already resolved never fires, so rules for known
+        measures are not even indexed.
         """
         rules = self.rules
         resolved = set(known)
@@ -119,6 +120,8 @@ class RuleSet:
         missing: dict[int, int] = {}  # rule -> unresolved dependencies
         current: list[int] = []  # ascending indices: already a heap
         for index, rule in enumerate(rules):
+            if rule.target in resolved:
+                continue
             deps = [
                 term
                 for _, term in rule.terms

@@ -8,7 +8,7 @@ and assemble a :class:`ProcedureProfile`.
 Which rules fire, and in which order, depends only on *which* measures
 the counters provide — never on their numeric values — so each plan
 takes its order once from :meth:`RuleSet.firing_order`, the engine
-placement and the checker also use, and caches it as a
+the checker's REP201 also uses, and caches it as a
 :class:`ReconstructionSchedule`.  Replaying the schedule performs the
 same float additions in the same order as :meth:`RuleSet.solve`, so
 results are bit-identical, without a per-call fixpoint.

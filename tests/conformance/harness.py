@@ -147,17 +147,161 @@ HANDWRITTEN = {
 """,
 }
 
-#: Every named conformance input: the builtins, then HANDWRITTEN.
-CORPUS = [name for name, _ in builtin_sources()] + list(HANDWRITTEN)
+
+
+def _dummy_bounds_program(decl: str, actual: str, stmt: str) -> str:
+    """MAIN passes array X to TOUCH, whose dummy A runs ``stmt`` with
+    K = 4 and L = 6; X's extents decide the bounds, not A's."""
+    return f"""\
+      PROGRAM DUMMYB
+      {actual}
+      CALL TOUCH(X, 4, 6)
+      END
+
+      SUBROUTINE TOUCH(A, K, L)
+      {decl}
+      INTEGER K, L
+      REAL T
+      T = 0.0
+      {stmt}
+      PRINT *, T
+      END
+"""
+
+
+#: Dummy-array accesses: each out-of-bounds subscript position of a
+#: 1-D and a 2-D dummy, loads and stores, an actual whose type or rank
+#: differs from the dummy's (the generic helper path), and an element
+#: passed for a dummy array.  :data:`DUMMY_ARRAY_RESULTS` pins what
+#: the reference interpreter reports for each.
+DUMMY_ARRAYS = {
+    "dummy_1d_load_oob": _dummy_bounds_program(
+        "REAL A(1)", "REAL X(3)", "T = A(K)"
+    ),
+    "dummy_1d_store_oob": _dummy_bounds_program(
+        "REAL A(1)", "REAL X(3)", "A(K) = 1.5"
+    ),
+    "dummy_2d_load_oob_first": _dummy_bounds_program(
+        "REAL A(1, 1)", "REAL X(3, 5)", "T = A(K, 2)"
+    ),
+    "dummy_2d_load_oob_second": _dummy_bounds_program(
+        "REAL A(1, 1)", "REAL X(3, 5)", "T = A(2, L)"
+    ),
+    "dummy_2d_load_oob_both": _dummy_bounds_program(
+        "REAL A(1, 1)", "REAL X(3, 5)", "T = A(K, L)"
+    ),
+    "dummy_2d_store_oob_first": _dummy_bounds_program(
+        "REAL A(1, 1)", "REAL X(3, 5)", "A(K, 2) = 1.5"
+    ),
+    "dummy_2d_store_oob_second": _dummy_bounds_program(
+        "REAL A(1, 1)", "REAL X(3, 5)", "A(2, L) = 1.5"
+    ),
+    "dummy_2d_in_bounds": _dummy_bounds_program(
+        "REAL A(1, 1)",
+        "REAL X(3, 5)",
+        "A(3, 5) = 1.5\n      A(1, 2) = A(3, 5) + 1.0\n      T = A(1, 2)",
+    ),
+    "dummy_int_actual_real_dummy": """\
+      PROGRAM DUMMYT
+      INTEGER IX(3), M(2, 2)
+      IX(1) = 7
+      CALL SETR(IX, 3)
+      CALL SET2(M)
+      PRINT *, IX(1), IX(2), IX(3), M(1, 2), M(2, 1)
+      END
+
+      SUBROUTINE SETR(A, N)
+      REAL A(1)
+      INTEGER N
+      A(2) = 2.5
+      A(N) = A(1) + 0.75
+      END
+
+      SUBROUTINE SET2(B)
+      REAL B(2, 2)
+      B(1, 2) = 3.9
+      B(2, 1) = B(1, 2) * 2.0
+      END
+""",
+    "dummy_rank_mismatch": """\
+      PROGRAM DUMMYR
+      REAL X(3)
+      X(1) = 1.0
+      CALL RANK2(X)
+      END
+
+      SUBROUTINE RANK2(A)
+      REAL A(3, 1)
+      PRINT *, A(1, 1)
+      END
+""",
+    "dummy_element_actual": """\
+      PROGRAM DUMMYE
+      REAL X(3)
+      CALL S(X(1))
+      END
+
+      SUBROUTINE S(A)
+      REAL A(3)
+      A(1) = 2.0
+      END
+""",
+}
+
+#: The reference interpreter's output lines, or its error, per
+#: DUMMY_ARRAYS program.
+DUMMY_ARRAY_RESULTS = {
+    "dummy_1d_load_oob": (
+        "InterpreterError", "line 11: X: subscript 4 out of bounds 1..3"
+    ),
+    "dummy_1d_store_oob": (
+        "InterpreterError", "line 11: X: subscript 4 out of bounds 1..3"
+    ),
+    "dummy_2d_load_oob_first": (
+        "InterpreterError", "line 11: X: subscript 4 out of bounds 1..3"
+    ),
+    "dummy_2d_load_oob_second": (
+        "InterpreterError", "line 11: X: subscript 6 out of bounds 1..5"
+    ),
+    "dummy_2d_load_oob_both": (
+        "InterpreterError", "line 11: X: subscript 4 out of bounds 1..3"
+    ),
+    "dummy_2d_store_oob_first": (
+        "InterpreterError", "line 11: X: subscript 4 out of bounds 1..3"
+    ),
+    "dummy_2d_store_oob_second": (
+        "InterpreterError", "line 11: X: subscript 6 out of bounds 1..5"
+    ),
+    "dummy_2d_in_bounds": ["2.5"],
+    "dummy_int_actual_real_dummy": ["7 2 7 3 6"],
+    "dummy_rank_mismatch": (
+        "InterpreterError", "line 9: X: expected 1 subscripts"
+    ),
+    "dummy_element_actual": (
+        "InterpreterError", "line 3: S: expression passed for array param A"
+    ),
+}
+
+#: Every named conformance input: the builtins, HANDWRITTEN, then
+#: DUMMY_ARRAYS.
+CORPUS = (
+    [name for name, _ in builtin_sources()]
+    + list(HANDWRITTEN)
+    + list(DUMMY_ARRAYS)
+)
 
 _CACHE: dict[object, object] = {}
 
 
 def builtin_program(name: str):
-    """Compile a builtin workload (or a HANDWRITTEN one) once per
-    session."""
+    """Compile a builtin workload (or a HANDWRITTEN or DUMMY_ARRAYS
+    one) once per session."""
     if name not in _CACHE:
-        source = HANDWRITTEN.get(name) or dict(builtin_sources())[name]
+        source = (
+            HANDWRITTEN.get(name)
+            or DUMMY_ARRAYS.get(name)
+            or dict(builtin_sources())[name]
+        )
         _CACHE[name] = compile_source(source)
     return _CACHE[name]
 

@@ -2,7 +2,8 @@
 
 A single harness judges the codegen backend against the tree-walking
 reference interpreter, over every builtin workload and the
-hand-written structuring programs of ``harness.HANDWRITTEN`` (with
+hand-written structuring programs of ``harness.HANDWRITTEN`` and the
+dummy-array programs of ``harness.DUMMY_ARRAYS`` (with
 and without an ``INPUT()`` vector) and 75 seeded generator-corpus
 programs, plain and profiled, including step-limit aborts swept over
 small budgets in counter and path mode.  Any divergence, down to
@@ -18,6 +19,7 @@ from repro.pipeline import run_program
 from tests.conformance.harness import (
     BACKENDS,
     CORPUS,
+    DUMMY_ARRAY_RESULTS,
     INPUTS,
     assert_conformance,
     assert_path_conformance,
@@ -40,6 +42,17 @@ def test_builtin_with_inputs(name):
 def test_builtin_without_inputs(name):
     """No INPUT() vector: programs that read one must fail identically."""
     assert_conformance(builtin_program(name), seed=3)
+
+
+@pytest.mark.parametrize("name", sorted(DUMMY_ARRAY_RESULTS))
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_dummy_array_result(name, backend):
+    """Both engines report the pinned output or error (type, line and
+    message) of each dummy-array program."""
+    observed = observe(builtin_program(name), backend)
+    assert observed.get("error", observed.get("outputs")) == (
+        DUMMY_ARRAY_RESULTS[name]
+    )
 
 
 @pytest.mark.parametrize("gen_seed", range(N_PROGRAMS))

@@ -144,3 +144,60 @@ class TestCommentsAndLines:
         toks = tokenize("A = 1\nB = 2")
         newlines = [t for t in toks if t.kind is TokenKind.NEWLINE]
         assert len(newlines) == 2
+
+
+class TestCommentColumn:
+    """Only column one makes ``C `` a comment; indented, C is a name."""
+
+    def test_c_in_column_one_is_a_comment(self):
+        toks = tokenize("C = 2\nA = 1")
+        assert toks[0].value == "A"
+
+    def test_indented_c_is_an_assignment(self):
+        assert values("      C = 2") == ["C", "=", "2"]
+
+    def test_runs_agree_with_the_lexer(self):
+        from repro import compile_source, run_program
+
+        def printed(line):
+            source = (
+                "      PROGRAM MAIN\n      INTEGER C\n      C = 0\n"
+                f"{line}\n      PRINT *, C\n      END\n"
+            )
+            return run_program(compile_source(source)).outputs
+
+        assert printed("      C = 2") == ["2"]
+        assert printed("C = 2") == ["0"]
+
+
+class TestErrorMessages:
+    def test_malformed_dot_operator_message_and_line(self):
+        with pytest.raises(LexError) as info:
+            tokenize("A = 1\nX = A .X. B")
+        assert str(info.value) == "line 2: malformed dot operator '.X.'"
+        assert info.value.line == 2
+
+    def test_unterminated_string_message(self):
+        with pytest.raises(LexError) as info:
+            tokenize("PRINT *, 'oops")
+        assert str(info.value) == "line 1: unterminated string literal"
+
+    def test_unexpected_character_message(self):
+        with pytest.raises(LexError) as info:
+            tokenize("A = 1 ; B = 2")
+        assert str(info.value) == "line 1: unexpected character ';'"
+
+
+class TestNumberForms:
+    def test_reals_without_digits_on_one_side(self):
+        assert values("1.E3 + .5") == ["1.E3", "+", ".5"]
+        assert kinds("1.E3 + .5") == [
+            TokenKind.REAL, TokenKind.PLUS, TokenKind.REAL,
+        ]
+
+    def test_integer_before_operator_spelled_in_lower_case(self):
+        assert kinds("1.lt.2") == [TokenKind.INT, TokenKind.LT, TokenKind.INT]
+
+    def test_real_before_unknown_dot_word(self):
+        # `1.ET` is no operator: the dot belongs to the real literal.
+        assert values("1.ET") == ["1.", "ET"]

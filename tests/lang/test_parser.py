@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ParseError
+from repro.errors import LexError, ParseError
 from repro.lang import ast
 from repro.lang.parser import parse_program
 
@@ -312,3 +312,84 @@ class TestPaperExample:
         assert if_block.label == 10
         assert isinstance(if_block.arms[0][1][0], ast.LogicalIf)
         assert isinstance(if_block.else_body[0], ast.LogicalIf)
+
+
+class TestExpressionPins:
+    """Exact trees and errors of the expression grammar."""
+
+    def expr(self, text):
+        (stmt,) = parse_main_body([f"X = {text}"])
+        return stmt.value
+
+    def test_unary_minus_over_power(self):
+        assert self.expr("-A**2") == ast.Unary(
+            2,
+            ast.UnOp.NEG,
+            ast.Binary(
+                2, ast.BinOp.POW, ast.VarRef(2, "A"), ast.IntLit(2, 2)
+            ),
+        )
+
+    def test_negative_exponent(self):
+        assert self.expr("A**-B") == ast.Binary(
+            2,
+            ast.BinOp.POW,
+            ast.VarRef(2, "A"),
+            ast.Unary(2, ast.UnOp.NEG, ast.VarRef(2, "B")),
+        )
+
+    def test_not_applies_to_one_comparison(self):
+        zero = ast.IntLit(2, 0)
+        assert self.expr(".NOT. A .GT. 0 .AND. B .GT. 0") == ast.Binary(
+            2,
+            ast.BinOp.AND,
+            ast.Unary(
+                2,
+                ast.UnOp.NOT,
+                ast.Binary(2, ast.BinOp.GT, ast.VarRef(2, "A"), zero),
+            ),
+            ast.Binary(2, ast.BinOp.GT, ast.VarRef(2, "B"), zero),
+        )
+
+    def test_nested_not(self):
+        assert self.expr(".NOT. .NOT. A") == ast.Unary(
+            2, ast.UnOp.NOT, ast.Unary(2, ast.UnOp.NOT, ast.VarRef(2, "A"))
+        )
+
+    def test_reals_without_digits_on_one_side(self):
+        assert self.expr("1.E3 + .5") == ast.Binary(
+            2, ast.BinOp.ADD, ast.RealLit(2, 1000.0), ast.RealLit(2, 0.5)
+        )
+
+    @pytest.mark.parametrize(
+        "statement, error, message",
+        [
+            (
+                "L = A .LT. B .LT. C",
+                ParseError,
+                "unexpected trailing tokens starting at '.LT.'",
+            ),
+            (
+                "L = X .AND. A .LT. B .LT. C",
+                ParseError,
+                "unexpected trailing tokens starting at '.LT.'",
+            ),
+            (
+                "IF (X .AND. A .LT. B .LT. C) GOTO 10",
+                ParseError,
+                "expected ')', found '.LT.'",
+            ),
+            (
+                "X = A + .NOT. B",
+                ParseError,
+                "unexpected token '.NOT.' in expression",
+            ),
+            ("X = A .X. B", LexError, "malformed dot operator '.X.'"),
+            ("X = (A", ParseError, "expected ')', found '\\n'"),
+        ],
+    )
+    def test_error_message_and_line(self, statement, error, message):
+        with pytest.raises(error) as info:
+            parse_main_body([statement])
+        assert str(info.value) == f"line 2: {message}"
+        assert info.value.line == 2

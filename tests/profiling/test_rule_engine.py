@@ -1,9 +1,9 @@
 """``RuleSet.firing_order`` against the naive reference ``RuleSet.solve``.
 
 One engine decides which derivation rules fire, and in which order:
-placement's drop test and validation read it through ``closure``,
-reconstruction replays it as a schedule, and the checker's REP201 reads
-``closure`` too.  ``solve`` is the plain pass-until-no-change scan it
+reconstruction replays it as a schedule, and the checker's REP201 (and
+the closure oracle of placement's drop test) read it through
+``closure``.  ``solve`` is the plain pass-until-no-change scan it
 must reproduce exactly — the same rules in the same order, since two
 rules may share a target and the one that fires decides the float
 arithmetic.
