@@ -54,7 +54,8 @@ from repro.profiling import ProgramPlan
 #:    fingerprint; every variant is emitted on first use.
 #: 7: the codegen shell also references the front end's interval
 #:    structures, which its emitter takes the loops from.
-CACHE_FORMAT = 7
+#: 8: interval structures carry their loops' exit edges (``loop_exits``).
+CACHE_FORMAT = 8
 
 _PLAN_BUILDERS = {
     "smart": smart_program_plan,

@@ -7,6 +7,9 @@ from repro.intervals import compute_intervals
 from repro.lang.parser import parse_program
 from repro.cfg.builder import build_cfg
 from repro.cfg.graph import StmtKind
+from repro import compile_source
+from repro.workloads import builtin_sources
+from repro.workloads.generators import ProgramGenerator
 
 
 def intervals_of(body_lines):
@@ -153,6 +156,31 @@ class TestEdges:
         )
         header = intervals.loop_headers[0]
         assert len(intervals.exit_edges(header)) == 2
+
+    def test_exit_edges_match_the_all_edge_definition(self):
+        """The exit map built once per structure equals scanning every
+        edge per interval, order included, on every header."""
+        sources = [src for _, src in builtin_sources()]
+        sources += [ProgramGenerator(seed).source() for seed in range(40)]
+        for source in sources:
+            for ecfg in compile_source(source).ecfgs.values():
+                intervals = ecfg.intervals
+                for header in intervals.headers:
+                    body = intervals.members[header]
+                    expected = [
+                        edge
+                        for edge in intervals.cfg.edges
+                        if edge.src in body
+                        and edge.dst not in body
+                        and not edge.is_pseudo
+                    ]
+                    assert intervals.exit_edges(header) == expected
+
+    def test_exit_edges_of_a_non_header_raise(self):
+        cfg, intervals = intervals_of(["X = 1", "Y = 2"])
+        non_header = next(n for n in cfg.nodes if n != intervals.root)
+        with pytest.raises(KeyError):
+            intervals.exit_edges(non_header)
 
     def test_entry_edges(self):
         cfg, intervals = intervals_of(
